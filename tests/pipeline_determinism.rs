@@ -3,9 +3,14 @@
 //! The dataset is the paper's release artefact, so its bytes must not
 //! depend on scheduling: `Dataset::to_json` has to be identical across
 //! runs and across worker counts (1, 2, and one-per-core).
+//!
+//! The committed digests at the bottom pin the exact bytes of three small
+//! gap-enabled builds (clean, HOSTILE, one poisoned site), so a change to
+//! the build engine cannot move the dataset or ledger unnoticed.
 
-use langcrux::core::{build_dataset, PipelineOptions};
+use langcrux::core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
 use langcrux::lang::Country;
+use langcrux::net::FaultPlan;
 use langcrux::webgen::{Corpus, CorpusConfig};
 
 fn dataset_json(corpus: &Corpus, quota: usize, threads: usize) -> String {
@@ -113,4 +118,89 @@ fn rank_order_replacement_preserved_under_parallelism() {
             assert_eq!(ranks, sorted, "{country:?} at {threads} threads");
         }
     }
+}
+
+/// FNV-1a over `Dataset::to_json` followed by `CrawlLedger::to_json`.
+fn build_digest(corpus: &Corpus, options: PipelineOptions) -> u64 {
+    let (dataset, ledger) = build_dataset_with_ledger(corpus, options);
+    let dataset = dataset.to_json().expect("dataset serializes");
+    let ledger = ledger.to_json().expect("ledger serializes");
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in dataset.bytes().chain(ledger.bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// A small gap-enabled corpus under `fault_plan`.
+fn gapped_corpus(seed: u64, fault_plan: FaultPlan) -> Corpus {
+    Corpus::build(CorpusConfig {
+        gap_scenarios: true,
+        fault_plan,
+        ..CorpusConfig::small(seed, PINNED_QUOTA)
+    })
+}
+
+const PINNED_QUOTA: usize = 12;
+
+/// Assert `digest` at one worker and at one per core.
+fn assert_pinned(corpus: &Corpus, options: PipelineOptions, digest: u64, what: &str) {
+    for threads in [1, 0] {
+        let got = build_digest(
+            corpus,
+            PipelineOptions {
+                quota: PINNED_QUOTA,
+                threads,
+                ..options
+            },
+        );
+        assert_eq!(
+            got, digest,
+            "{what}: dataset+ledger digest {got:#018x} moved at {threads} workers"
+        );
+    }
+}
+
+#[test]
+fn pinned_digest_clean_gapped_build() {
+    let corpus = gapped_corpus(61, FaultPlan::default());
+    assert_pinned(
+        &corpus,
+        PipelineOptions::default(),
+        0x5cf9_3ed4_bd97_b4f3,
+        "clean",
+    );
+}
+
+#[test]
+fn pinned_digest_hostile_gapped_build() {
+    let corpus = gapped_corpus(67, FaultPlan::HOSTILE);
+    assert_pinned(
+        &corpus,
+        PipelineOptions::default(),
+        0x6b5f_7c2a_718f_3c24,
+        "hostile",
+    );
+}
+
+/// The one host the poisoned pinned build panics on.
+const POISONED_HOST: &str = "korpo-2.il";
+
+fn poison_fixed_host(host: &str) -> bool {
+    host == POISONED_HOST
+}
+
+#[test]
+fn pinned_digest_poisoned_gapped_build() {
+    let corpus = gapped_corpus(61, FaultPlan::default());
+    let options = PipelineOptions {
+        quota: PINNED_QUOTA,
+        chaos_panic_host: Some(poison_fixed_host),
+        ..PipelineOptions::default()
+    };
+    // The hook really fired: exactly the fixed host is poisoned.
+    let (_, ledger) = build_dataset_with_ledger(&corpus, options);
+    assert_eq!(ledger.totals.poisoned_sites, vec![POISONED_HOST]);
+    assert_pinned(&corpus, options, 0xd1cf_a0ce_7af2_bc00, "poisoned");
 }
