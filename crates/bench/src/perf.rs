@@ -87,8 +87,9 @@ pub struct PipelineBenchReport {
 /// process-spawn and HTTP-transport cost, which vary with the host.
 /// `efficiency` is `single_process_ms / distributed_ms`; CI gates it at
 /// ≥ 0.25 (coordination may cost at most 4× the plain build at smoke
-/// scale — generous because units re-execute per-candidate probes that
-/// the single-process build amortises across its thread pool). The
+/// scale). Both sides run the same engine, so the ratio isolates what a
+/// rebuilt corpus and a fixed two-worker count cost against the
+/// borrowed corpus and one worker per core. The
 /// chaos run re-times the same build under a seeded kill schedule and
 /// must still produce the oracle bytes (asserted before recording).
 #[derive(Debug, Clone, Serialize)]

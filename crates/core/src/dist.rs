@@ -1,44 +1,59 @@
-//! The fault-tolerant distributed build: coordinator, work units,
-//! checkpoint log, and the deterministic replay that makes an N-process
-//! build byte-identical to the single-process pipeline.
+//! The build engine: coordinator, work units, checkpoint log, and the
+//! deterministic replay that makes every build — in-process or across
+//! worker processes — produce the same bytes.
 //!
 //! ## Shape
 //!
-//! The coordinator plans the same probe waves as [`crate::pipeline`] —
-//! per-country windows of `need + need/7 + 8` candidates, chunked into
-//! `(country, candidate-range)` **work units** — but instead of handing
-//! units to an in-process thread pool it dispatches them to workers
-//! through a [`UnitExecutor`]. A worker executes a unit by probing every
-//! candidate in its range *and*, for each qualifying candidate, running
-//! the full per-site analysis, shipping back one serializable
-//! [`WireVerdict`] per candidate. The coordinator then replays the
-//! paper's sequential replacement walk over the concatenated verdicts —
-//! the exact loop the single-process pipeline runs — so `Dataset` and
-//! `CrawlLedger` bytes are independent of worker count, scheduling, and
-//! failure timing.
+//! The coordinator plans probe **waves**: each country still short of
+//! quota extends its probed candidate prefix by a window of
+//! `need + need/7 + 8` candidates, chunked into `(country,
+//! candidate-range)` **work units**. It dispatches units through a
+//! [`UnitExecutor`], which is only a transport: [`LocalExecutor`] runs
+//! them on in-process dispatcher threads against the caller's corpus
+//! ([`crate::pipeline::build_dataset`] is this engine over a
+//! `LocalExecutor`), and the bench crate's `HttpExecutor` ships them to
+//! `repro --dist-worker` processes. Either way a unit runs
+//! [`execute_unit`]: probe every candidate in the range and fully analyse
+//! each qualifying one, returning one serializable [`WireVerdict`] per
+//! candidate. The coordinator then replays the paper's sequential
+//! replacement walk over the concatenated verdicts, so `Dataset` and
+//! `CrawlLedger` bytes are independent of transport, worker count,
+//! scheduling, and failure timing.
+//!
+//! A unit analyses every qualifier it probes, so the last wave also
+//! analyses a few qualifiers beyond quota that the replay then drops.
+//! That overshoot is bounded by one window's slack per country and is
+//! reported as `dist.analysed_beyond_quota` by the benchmark.
 //!
 //! ## Why the bytes cannot drift
 //!
-//! * **Probe purity** (the PR 1 contract): a candidate's verdict is a
-//!   pure function of `(corpus seed, host, vantage)`. Workers rebuild
-//!   their corpus shards from [`WireBuildConfig`]; shard contents are
-//!   pure in `(seed, country)`, so every worker — and every *retry* of a
-//!   killed unit — computes the identical verdict list.
+//! * **Probe purity**: a candidate's verdict is a pure function of
+//!   `(corpus seed, host, vantage)`. Worker processes rebuild their
+//!   corpus shards from [`WireBuildConfig`]; shard contents are pure in
+//!   `(seed, country)`, so every worker — and every *retry* of a killed
+//!   unit — computes the identical verdict list.
 //! * **Wave congruence**: window extents depend only on quota and
-//!   qualified counts, never on chunking, so the coordinator probes the
-//!   same candidate prefix as the in-process pipeline at every worker
-//!   count.
-//! * **Replay**: selection, ledger folding, and example caps run in the
-//!   same sequential order over the same verdicts, through the same
-//!   accumulators ([`CountryLedger::record_probe_outcome`],
-//!   [`tally_outcome`]).
+//!   qualified counts, never on chunking, so every worker count probes
+//!   the same candidate prefix.
+//! * **One replay**: selection, ledger folding, and example caps run in
+//!   one sequential loop over the verdicts (`assemble`), in study
+//!   order and rank order.
+//!
+//! ## Panic containment
+//!
+//! [`execute_unit`] runs each site's analysis under the engine's one
+//! unwind guard. A panic becomes a [`WireOutcome::Poisoned`] verdict: the
+//! site still counts as selected (its probe qualified), its host is
+//! listed in the ledger's `poisoned_sites`, and it contributes no record
+//! or examples. The policy is the same on every transport, because the
+//! guard sits in the unit, not in the executor.
 //!
 //! ## Fault tolerance
 //!
 //! Every dispatch carries a lease (the executor's per-unit deadline); a
 //! worker that dies or stalls fails the dispatch, and the unit is
-//! reassigned with capped-exponential virtual backoff (the PR 6
-//! discipline, pure in `(seed, unit, attempt)`). A per-worker breaker
+//! reassigned with capped-exponential virtual backoff (the crawl
+//! engine's discipline, pure in `(seed, unit, attempt)`). A per-worker breaker
 //! trips after consecutive failures and asks the executor to revive the
 //! worker. Completed units are appended to an on-disk checkpoint log, so
 //! a coordinator killed mid-run resumes without recomputation. A unit
@@ -46,10 +61,12 @@
 //! replay truncates at the hole (quota shortfall, not an abort) and the
 //! loss is recorded in the ledger's `degraded_units` section.
 
-use crate::dataset::{Dataset, ExtremeExample, MismatchExample, SiteRecord};
+use crate::dataset::{CountryCrawlSummary, Dataset, ExtremeExample, MismatchExample, SiteRecord};
 use crate::ledger::{CountryLedger, CrawlLedger, DegradedUnit};
-use crate::pipeline::{chunk_ranges, probe_window, process_site, to_summary};
-use crate::selection::{probe_candidate_traced, tally_outcome, Rejection, SelectionStats};
+use crate::pipeline::process_site;
+use crate::selection::{
+    probe_candidate_traced, tally_outcome, Rejection, SelectedSite, SelectionStats,
+};
 use langcrux_crawl::{Browser, BrowserConfig, VisitTrace};
 use langcrux_kizuki::{Kizuki, ScreenReader};
 use langcrux_lang::{rng, Country};
@@ -61,9 +78,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Derivation stream tag for reassignment-backoff jitter (disjoint from
 /// the crawl backoff stream `0xB0FF` and the fault-roll streams).
@@ -161,11 +180,17 @@ pub enum WireOutcome {
         extremes: Vec<ExtremeExample>,
         mismatches: Vec<MismatchExample>,
     },
+    /// The candidate qualified but its analysis panicked: it counts as
+    /// selected, its host is listed in the ledger's `poisoned_sites`, and
+    /// it contributes no record or examples.
+    Poisoned {
+        host: String,
+    },
     Rejected(Rejection),
 }
 
 /// One probed candidate on the wire: verdict plus its visit trace, the
-/// same pair the in-process pipeline replays.
+/// pair the replay folds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireVerdict {
     pub outcome: WireOutcome,
@@ -173,67 +198,97 @@ pub struct WireVerdict {
 }
 
 impl WireVerdict {
-    fn is_selected(&self) -> bool {
-        matches!(self.outcome, WireOutcome::Selected { .. })
+    /// Whether the candidate passed the inclusion test (analysed or
+    /// poisoned): what wave planning and the replacement walk count.
+    fn qualified(&self) -> bool {
+        !matches!(self.outcome, WireOutcome::Rejected(_))
     }
 
     /// The site-free verdict the shared ledger/stats accumulators fold.
     fn outcome_ref(&self) -> Result<(), &Rejection> {
         match &self.outcome {
-            WireOutcome::Selected { .. } => Ok(()),
             WireOutcome::Rejected(r) => Err(r),
+            _ => Ok(()),
         }
     }
 }
 
 /// Execute one work unit against a corpus: probe every candidate in the
-/// range and fully analyse each qualifying one. This is the worker-side
-/// entry point — `repro --dist-worker` calls it behind the RPC endpoint,
-/// and [`LocalExecutor`] calls it in-process for tests.
+/// range and fully analyse each qualifying one. Every executor runs
+/// units through this function — `repro --dist-worker` behind the RPC
+/// endpoint, [`LocalExecutor`] in-process.
+///
+/// `chaos_panic_host` panics inside the analysis of any site whose host
+/// it matches, exercising the unwind guard; `None` in production.
 pub fn execute_unit(
     corpus: &Corpus,
     browser_config: BrowserConfig,
     country: Country,
     start: usize,
     end: usize,
+    chaos_panic_host: Option<fn(&str) -> bool>,
 ) -> Vec<WireVerdict> {
-    let mut span = obs::trace::span("dist.unit", obs::trace::key_str(country.code()));
     let vantage = vpn_vantage(country).unwrap_or_else(|| panic!("no VPN endpoint for {country:?}"));
     let native = country.target_language();
     let kizuki = Kizuki::standard();
-    let reader = ScreenReader::voiceover_like();
-    let gaps_enabled = corpus.config().gap_scenarios;
+    // The reference reader maps each translation-gap region to what a
+    // screen reader would do with it; only gap-enabled corpora need it.
+    let reader = corpus
+        .config()
+        .gap_scenarios
+        .then(ScreenReader::voiceover_like);
     let mut browser = Browser::new(corpus.internet(), browser_config);
-    let mut verdicts = Vec::with_capacity(end - start);
-    let mut virtual_ms = 0u64;
-    for plan in corpus.candidates(country)[start..end].iter() {
-        let (outcome, trace) = probe_candidate_traced(&mut browser, plan, vantage, native);
-        virtual_ms += trace.virtual_ms;
-        let outcome = match outcome {
-            Ok(site) => {
-                let mut extremes = Vec::new();
-                let mut mismatches = Vec::new();
-                let gap_reader = gaps_enabled.then_some(&reader);
-                let record = process_site(
-                    &site,
-                    country,
-                    &kizuki,
-                    gap_reader,
-                    &mut extremes,
-                    &mut mismatches,
-                );
-                WireOutcome::Selected {
-                    record,
-                    extremes,
-                    mismatches,
+    corpus.candidates(country)[start..end]
+        .iter()
+        .map(|plan| {
+            let (outcome, trace) = probe_candidate_traced(&mut browser, plan, vantage, native);
+            let outcome = match outcome {
+                Ok(site) => {
+                    analyse_guarded(&site, country, &kizuki, reader.as_ref(), chaos_panic_host)
                 }
-            }
-            Err(rejection) => WireOutcome::Rejected(rejection),
-        };
-        verdicts.push(WireVerdict { outcome, trace });
+                Err(rejection) => WireOutcome::Rejected(rejection),
+            };
+            WireVerdict { outcome, trace }
+        })
+        .collect()
+}
+
+/// Analyse one qualifying site under the engine's unwind guard: a panic
+/// poisons only this site. Examples land in per-site scratch vecs so a
+/// partial capture from a poisoned site never reaches the output.
+fn analyse_guarded(
+    site: &SelectedSite,
+    country: Country,
+    kizuki: &Kizuki,
+    gap_reader: Option<&ScreenReader>,
+    chaos_panic_host: Option<fn(&str) -> bool>,
+) -> WireOutcome {
+    let host = &site.plan.host;
+    // Opened outside the guard, so a poisoned site still records it.
+    let _site_span = obs::trace::span("pipeline.analyze_site", obs::trace::key_str(host));
+    let mut extremes = Vec::new();
+    let mut mismatches = Vec::new();
+    let analysed = catch_unwind(AssertUnwindSafe(|| {
+        if chaos_panic_host.is_some_and(|hook| hook(host)) {
+            panic!("chaos hook: injected analysis panic");
+        }
+        process_site(
+            site,
+            country,
+            kizuki,
+            gap_reader,
+            &mut extremes,
+            &mut mismatches,
+        )
+    }));
+    match analysed {
+        Ok(record) => WireOutcome::Selected {
+            record,
+            extremes,
+            mismatches,
+        },
+        Err(_) => WireOutcome::Poisoned { host: host.clone() },
     }
-    span.set_virtual_ms(virtual_ms);
-    verdicts
 }
 
 /// Why one dispatch of a unit failed.
@@ -249,7 +304,7 @@ pub enum UnitError {
 
 /// Transport abstraction the coordinator dispatches through. The bench
 /// crate implements it over loopback HTTP to `repro --dist-worker`
-/// processes; [`LocalExecutor`] implements it in-process for tests.
+/// processes; [`LocalExecutor`] implements it in-process.
 ///
 /// Called concurrently from one dispatcher thread per worker slot; a
 /// given `worker` index is only ever used by its own dispatcher.
@@ -277,27 +332,35 @@ pub trait UnitExecutor: Sync {
     }
 }
 
-/// In-process executor: runs units against its own corpus (rebuilt from
-/// the wire config, exactly as a worker process would) with an
-/// injectable failure schedule. The backbone of the kill-at-every-
-/// boundary test suite.
-pub struct LocalExecutor {
-    corpus: Corpus,
+/// In-process executor: runs units on the coordinator's dispatcher
+/// threads, with an injectable failure schedule. It either borrows the
+/// caller's corpus ([`LocalExecutor::borrowing`], the in-process build)
+/// or owns one rebuilt from the wire config, exactly as a worker process
+/// would ([`LocalExecutor::new`], the kill-at-every-boundary suite).
+pub struct LocalExecutor<'c> {
+    corpus: LocalCorpus<'c>,
     /// Injected failure: `(unit key, attempt) -> fail?`. A failing
     /// dispatch still computes nothing — like a SIGKILLed worker, its
     /// partial work is simply never observed.
     #[allow(clippy::type_complexity)]
     pub fail: Option<Arc<dyn Fn(&str, u32) -> bool + Send + Sync>>,
+    chaos_panic_host: Option<fn(&str) -> bool>,
 }
 
-impl LocalExecutor {
+enum LocalCorpus<'c> {
+    Owned(Box<Corpus>),
+    Borrowed(&'c Corpus),
+}
+
+impl LocalExecutor<'static> {
     /// Build the executor's own corpus from the wire config — the same
     /// reconstruction a worker process performs, so tests exercise the
     /// config round-trip too.
     pub fn new(config: &WireBuildConfig) -> Self {
         LocalExecutor {
-            corpus: config.build_corpus(),
+            corpus: LocalCorpus::Owned(Box::new(config.build_corpus())),
             fail: None,
+            chaos_panic_host: None,
         }
     }
 
@@ -307,13 +370,39 @@ impl LocalExecutor {
         schedule: impl Fn(&str, u32) -> bool + Send + Sync + 'static,
     ) -> Self {
         LocalExecutor {
-            corpus: config.build_corpus(),
             fail: Some(Arc::new(schedule)),
+            ..LocalExecutor::new(config)
         }
     }
 }
 
-impl UnitExecutor for LocalExecutor {
+impl<'c> LocalExecutor<'c> {
+    /// Run units against the caller's corpus. Nothing is rebuilt, so its
+    /// shards and shard statistics are the ones the build touches.
+    pub fn borrowing(corpus: &'c Corpus) -> Self {
+        LocalExecutor {
+            corpus: LocalCorpus::Borrowed(corpus),
+            fail: None,
+            chaos_panic_host: None,
+        }
+    }
+
+    /// Chaos hook: panic inside the analysis of any site whose host
+    /// `hook` matches (see [`execute_unit`]).
+    pub fn with_chaos_panic_host(mut self, hook: Option<fn(&str) -> bool>) -> Self {
+        self.chaos_panic_host = hook;
+        self
+    }
+
+    fn corpus(&self) -> &Corpus {
+        match &self.corpus {
+            LocalCorpus::Owned(corpus) => corpus,
+            LocalCorpus::Borrowed(corpus) => corpus,
+        }
+    }
+}
+
+impl UnitExecutor for LocalExecutor<'_> {
     fn execute(
         &self,
         _worker: usize,
@@ -326,19 +415,21 @@ impl UnitExecutor for LocalExecutor {
             }
         }
         Ok(execute_unit(
-            &self.corpus,
+            self.corpus(),
             request.config.browser,
             request.country,
             request.start,
             request.end,
+            self.chaos_panic_host,
         ))
     }
 }
 
 /// Coordinator options. The dataset/ledger bytes produced under any
-/// `workers`/failure schedule equal `build_dataset_with_ledger` with a
-/// `PipelineOptions` carrying the same `quota`, `browser`, and example
-/// caps — the tested contract.
+/// transport, `workers` count or recovered failure schedule are the same
+/// — the tested contract. `build_dataset_with_ledger` runs this engine
+/// with the `PipelineOptions` `quota`, `browser`, example caps and
+/// `threads` as `workers`.
 #[derive(Debug, Clone)]
 pub struct DistOptions {
     pub quota: usize,
@@ -656,9 +747,23 @@ enum UnitResolution {
     Lost,
 }
 
-/// Run the distributed build: plan waves, dispatch units through the
-/// executor with lease/retry/checkpoint handling, then replay and
-/// assemble the dataset + ledger.
+/// The probe window a country still short of quota extends its probed
+/// prefix by: the outstanding need inflated by the expected ~12%
+/// disqualification rate, plus slack so small quotas converge in one
+/// wave.
+fn probe_window(need: usize) -> usize {
+    need + need / 7 + 8
+}
+
+/// Split `0..len` into consecutive ranges of at most `chunk`.
+fn chunk_ranges(len: usize, chunk: usize) -> impl Iterator<Item = Range<usize>> {
+    let chunk = chunk.max(1);
+    (0..len.div_ceil(chunk)).map(move |i| (i * chunk)..((i + 1) * chunk).min(len))
+}
+
+/// Run the build: plan waves, dispatch units through the executor with
+/// lease/retry/checkpoint handling, then replay and assemble the
+/// dataset + ledger.
 ///
 /// Returns `Err(DistHalted)` only under the
 /// [`DistOptions::halt_after_units`] crash simulation.
@@ -668,12 +773,11 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
     options: &DistOptions,
 ) -> Result<DistBuild, DistHalted> {
     let workers = options.workers.max(1);
-    let _build_span = obs::trace::span("dist.build", corpus.config().seed);
+    let _build_span = obs::trace::span("pipeline.build", corpus.config().seed);
     let config = WireBuildConfig::of(corpus, options.browser);
-    let (log, completed) =
+    let (log, mut completed) =
         CheckpointLog::open(options.checkpoint.as_deref(), &config, options.quota);
     let checkpoint = Mutex::new(log);
-    let completed = Mutex::new(completed);
 
     let mut states: Vec<CountryState> = corpus
         .countries()
@@ -695,8 +799,10 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
 
     let mut wave_ordinal = 0u64;
     loop {
-        // ---- Plan the wave: same windows as the in-process pipeline.
-        let mut windows: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        // ---- Plan the wave: each country short of quota extends its
+        // probed prefix; countries with enough qualifiers (or no
+        // candidates left) contribute nothing. An empty plan ends probing.
+        let mut windows: Vec<(usize, Range<usize>)> = Vec::new();
         let mut total = 0usize;
         for (ci, st) in states.iter().enumerate() {
             if st.degraded || st.qualified >= options.quota {
@@ -714,9 +820,12 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
         if windows.is_empty() {
             break;
         }
-        let _wave_span = obs::trace::span("dist.wave", wave_ordinal);
+        // Wave count and ordinal are quota-driven, not worker-driven, so
+        // the span structure is stable across worker counts.
+        let _wave_span = obs::trace::span("pipeline.probe_wave", wave_ordinal);
         wave_ordinal += 1;
         stats.waves += 1;
+        // Chunk the windows so every worker gets several units.
         let chunk = (total / (workers * 4).max(1)).clamp(4, 64);
         let mut units: Vec<(usize, UnitRequest)> = Vec::new();
         for (ci, window) in windows {
@@ -743,7 +852,7 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
             workers,
             corpus.config().seed,
             &checkpoint,
-            &completed,
+            &mut completed,
             &mut stats,
             &executed_this_run,
             &halted,
@@ -759,7 +868,7 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
                 UnitResolution::Done(vs) => {
                     st.probed = req.end;
                     if !st.degraded {
-                        st.qualified += vs.iter().filter(|v| v.is_selected()).count();
+                        st.qualified += vs.iter().filter(|v| v.qualified()).count();
                         st.verdicts.extend(vs);
                     }
                 }
@@ -794,10 +903,18 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
     })
 }
 
+/// A wave's dispatch queue: units awaiting a (re)dispatch, and how many
+/// planned units are still unresolved (queued or in flight).
+struct WaveQueue {
+    jobs: VecDeque<(usize, u32)>,
+    pending: usize,
+}
+
 /// Dispatch one wave's units across the worker slots until every unit is
 /// done or lost (or the halt simulation fires). One dispatcher thread
 /// per worker slot; failed dispatches re-queue with virtual backoff
-/// until the reassignment budget is exhausted.
+/// until the reassignment budget is exhausted. Idle dispatchers park on
+/// a condvar until a unit is re-queued or the wave resolves.
 #[allow(clippy::too_many_arguments)]
 fn run_wave<E: UnitExecutor + ?Sized>(
     executor: &E,
@@ -806,102 +923,119 @@ fn run_wave<E: UnitExecutor + ?Sized>(
     workers: usize,
     seed: u64,
     checkpoint: &Mutex<CheckpointLog>,
-    completed: &Mutex<HashMap<String, Vec<WireVerdict>>>,
+    completed: &mut HashMap<String, Vec<WireVerdict>>,
     stats: &mut DistStats,
     executed_this_run: &AtomicUsize,
     halted: &AtomicBool,
 ) -> Vec<UnitResolution> {
     let mut resolutions: Vec<UnitResolution> = Vec::with_capacity(units.len());
-    let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
-    {
-        let completed = completed.lock().unwrap();
-        for (idx, (_, req)) in units.iter().enumerate() {
-            if let Some(vs) = completed.get(&req.key()) {
-                stats.units_from_checkpoint += 1;
-                resolutions.push(UnitResolution::Done(vs.clone()));
-            } else {
-                queue.push_back((idx, 0));
-                resolutions.push(UnitResolution::Pending);
-            }
+    let mut jobs: VecDeque<(usize, u32)> = VecDeque::new();
+    for (idx, (_, req)) in units.iter().enumerate() {
+        // No later wave plans the same key, so a checkpointed unit's
+        // verdicts can be moved out of the log's map.
+        if let Some(vs) = completed.remove(&req.key()) {
+            stats.units_from_checkpoint += 1;
+            resolutions.push(UnitResolution::Done(vs));
+        } else {
+            jobs.push_back((idx, 0));
+            resolutions.push(UnitResolution::Pending);
         }
     }
-    let pending = AtomicUsize::new(queue.len());
-    if queue.is_empty() {
+    if jobs.is_empty() {
         return resolutions;
     }
-    let queue = Mutex::new(queue);
+    let queue = Mutex::new(WaveQueue {
+        pending: jobs.len(),
+        jobs,
+    });
+    let wake = Condvar::new();
     let resolutions = Mutex::new(resolutions);
-    // Wave-scoped counter deltas, folded into `stats` after the scope
-    // joins (dispatchers run on their own threads).
-    let delta = Mutex::new(DistStats::default());
+    let stats = Mutex::new(stats);
+
+    // Settle one dispatch: re-queue the unit for another attempt, or
+    // count it resolved. Either way, wake the parked dispatchers.
+    let settle = |retry: Option<(usize, u32)>| {
+        {
+            let mut q = queue.lock().unwrap();
+            match retry {
+                Some(job) => q.jobs.push_back(job),
+                None => q.pending -= 1,
+            }
+        }
+        wake.notify_all();
+    };
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let queue = &queue;
-            let resolutions = &resolutions;
-            let delta = &delta;
-            let pending = &pending;
+            let (queue, wake, settle) = (&queue, &wake, &settle);
+            let (resolutions, stats) = (&resolutions, &stats);
             scope.spawn(move || {
                 let mut consecutive_failures = 0u32;
                 loop {
-                    if halted.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let job = queue.lock().unwrap().pop_front();
-                    let Some((idx, attempt)) = job else {
-                        if pending.load(Ordering::SeqCst) == 0 {
-                            break;
+                    let job = {
+                        let mut q = queue.lock().unwrap();
+                        loop {
+                            if halted.load(Ordering::SeqCst) {
+                                break None;
+                            }
+                            if let Some(job) = q.jobs.pop_front() {
+                                break Some(job);
+                            }
+                            if q.pending == 0 {
+                                break None;
+                            }
+                            q = wake.wait(q).unwrap();
                         }
-                        // Another dispatcher may still re-queue a failed
-                        // unit; yield briefly and re-check.
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        continue;
                     };
+                    let Some((idx, attempt)) = job else { break };
                     let (_, req) = &units[idx];
                     let key = req.key();
                     if !executor.heartbeat(worker) {
-                        let mut d = delta.lock().unwrap();
-                        d.heartbeat_failures += 1;
-                        d.worker_revivals += u64::from(executor.revive(worker));
+                        let revived = executor.revive(worker);
+                        let mut s = stats.lock().unwrap();
+                        s.heartbeat_failures += 1;
+                        s.worker_revivals += u64::from(revived);
                     }
-                    match executor.execute(worker, attempt, req) {
+                    // Depth-fence the unit so its spans nest identically
+                    // at every worker count.
+                    let result = {
+                        let _fence = obs::trace::task_fence();
+                        executor.execute(worker, attempt, req)
+                    };
+                    match result {
                         Ok(verdicts) => {
                             consecutive_failures = 0;
                             checkpoint.lock().unwrap().append(&key, &verdicts);
-                            completed.lock().unwrap().insert(key, verdicts.clone());
                             resolutions.lock().unwrap()[idx] = UnitResolution::Done(verdicts);
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                            delta.lock().unwrap().units_executed += 1;
+                            stats.lock().unwrap().units_executed += 1;
                             let done = executed_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                            if let Some(halt) = options.halt_after_units {
-                                if done >= halt {
-                                    halted.store(true, Ordering::SeqCst);
-                                }
+                            if options.halt_after_units.is_some_and(|halt| done >= halt) {
+                                halted.store(true, Ordering::SeqCst);
                             }
+                            settle(None);
                         }
                         Err(error) => {
                             consecutive_failures += 1;
+                            let retry = attempt < options.max_reassignments;
                             {
-                                let mut d = delta.lock().unwrap();
+                                let mut s = stats.lock().unwrap();
                                 match &error {
-                                    UnitError::WorkerDied(_) => d.worker_deaths += 1,
-                                    UnitError::LeaseExpired(_) => d.lease_expirations += 1,
+                                    UnitError::WorkerDied(_) => s.worker_deaths += 1,
+                                    UnitError::LeaseExpired(_) => s.lease_expirations += 1,
                                 }
-                                if attempt < options.max_reassignments {
-                                    d.reassignments += 1;
-                                    d.backoff_virtual_ms +=
+                                if retry {
+                                    s.reassignments += 1;
+                                    s.backoff_virtual_ms +=
                                         reassignment_backoff_ms(options, seed, &key, attempt);
                                 }
                             }
-                            if attempt < options.max_reassignments {
-                                queue.lock().unwrap().push_back((idx, attempt + 1));
-                            } else {
+                            if !retry {
                                 resolutions.lock().unwrap()[idx] = UnitResolution::Lost;
-                                pending.fetch_sub(1, Ordering::SeqCst);
                             }
+                            settle(retry.then_some((idx, attempt + 1)));
                             if consecutive_failures >= options.worker_breaker_threshold.max(1) {
-                                delta.lock().unwrap().worker_revivals +=
-                                    u64::from(executor.revive(worker));
+                                let revived = executor.revive(worker);
+                                stats.lock().unwrap().worker_revivals += u64::from(revived);
                                 consecutive_failures = 0;
                             }
                         }
@@ -911,130 +1045,91 @@ fn run_wave<E: UnitExecutor + ?Sized>(
         }
     });
 
-    let delta = delta.into_inner().unwrap();
-    stats.units_executed += delta.units_executed;
-    stats.reassignments += delta.reassignments;
-    stats.worker_deaths += delta.worker_deaths;
-    stats.lease_expirations += delta.lease_expirations;
-    stats.heartbeat_failures += delta.heartbeat_failures;
-    stats.worker_revivals += delta.worker_revivals;
-    stats.backoff_virtual_ms += delta.backoff_virtual_ms;
     resolutions.into_inner().unwrap()
 }
 
-/// Replay the sequential replacement walk over each country's verdicts
-/// and assemble the dataset + ledger — the same loop, accumulators, and
-/// caps as the in-process pipeline, so the bytes cannot differ.
+/// Replay the paper's sequential replacement walk over each country's
+/// verdicts and assemble the dataset + ledger. This is the only place
+/// selection stats, ledger counters and example caps are folded, so the
+/// bytes depend only on the verdicts, never on who computed them.
 fn assemble(
     corpus: &Corpus,
     options: &DistOptions,
-    states: Vec<CountryState>,
+    mut states: Vec<CountryState>,
     mut degraded_units: Vec<DegradedUnit>,
 ) -> (Dataset, CrawlLedger) {
-    struct CountryOut {
-        country: Country,
-        records: Vec<SiteRecord>,
-        summary: crate::dataset::CountryCrawlSummary,
-        extremes: Vec<ExtremeExample>,
-        mismatches: Vec<MismatchExample>,
-    }
-
-    let mut country_ledgers: Vec<CountryLedger> = Vec::with_capacity(states.len());
-    let mut results: Vec<CountryOut> = Vec::with_capacity(states.len());
-    for st in states {
-        let mut replay_span =
-            obs::trace::span("dist.replay", obs::trace::key_str(st.country.code()));
-        let mut ledger = CountryLedger::new(st.country.code());
-        let mut stats = SelectionStats::default();
-        let mut records = Vec::new();
-        let mut extremes = Vec::new();
-        let mut mismatches = Vec::new();
-        let mut error_run = 0u64;
-        let mut selected = 0usize;
-        for verdict in &st.verdicts {
-            if selected >= options.quota {
-                break;
-            }
-            ledger.record_probe_outcome(verdict.outcome_ref(), &verdict.trace);
-            if verdict.is_selected() {
-                ledger.note_replacement_run(error_run);
-                error_run = 0;
-            } else {
-                error_run += 1;
-            }
-            tally_outcome(verdict.outcome_ref(), &mut stats);
-            if let WireOutcome::Selected {
-                record,
-                extremes: site_extremes,
-                mismatches: site_mismatches,
-            } = &verdict.outcome
-            {
-                selected += 1;
-                if let Some(gaps) = &record.gaps {
-                    ledger.gap_pages += 1;
-                    ledger.gap_regions += u64::from(gaps.regions);
-                }
-                records.push(record.clone());
-                for e in site_extremes {
-                    if extremes.len() < options.max_extreme_examples {
-                        extremes.push(e.clone());
-                    }
-                }
-                for m in site_mismatches {
-                    if mismatches.len() < options.max_mismatch_examples {
-                        mismatches.push(m.clone());
-                    }
-                }
-            }
-        }
-        ledger.note_replacement_run(error_run);
-        stats.shortfall = (options.quota as u64).saturating_sub(stats.selected);
-        replay_span.set_virtual_ms(ledger.virtual_ms);
-        let summary = to_summary(st.country, &stats);
-        country_ledgers.push(ledger);
-        results.push(CountryOut {
-            country: st.country,
-            records,
-            summary,
-            extremes,
-            mismatches,
-        });
-    }
-
-    results.sort_by_key(|r| Country::STUDY.iter().position(|&c| c == r.country));
-    country_ledgers.sort_by_key(|l| {
-        Country::STUDY
-            .iter()
-            .position(|&c| c.code() == l.country_code)
-    });
-    degraded_units.sort_by_key(|u| {
-        (
-            Country::STUDY
-                .iter()
-                .position(|&c| c.code() == u.country_code),
-            u.start,
-        )
-    });
-
+    // Deterministic order: study order, then rank order.
+    let study_position = |code: &str| Country::STUDY.iter().position(|&c| c.code() == code);
+    states.sort_by_key(|st| study_position(st.country.code()));
+    degraded_units.sort_by_key(|u| (study_position(&u.country_code), u.start));
     let mut dataset = Dataset {
         seed: corpus.config().seed,
         quota: options.quota,
         ..Dataset::default()
     };
-    for mut result in results {
-        dataset.records.append(&mut result.records);
-        dataset.crawl_summaries.push(result.summary);
-        for e in result.extremes {
-            if dataset.extreme_examples.len() < options.max_extreme_examples {
-                dataset.extreme_examples.push(e);
+    let mut country_ledgers: Vec<CountryLedger> = Vec::with_capacity(states.len());
+    for st in states {
+        let mut replay_span = obs::trace::span(
+            "pipeline.verdict_replay",
+            obs::trace::key_str(st.country.code()),
+        );
+        let mut ledger = CountryLedger::new(st.country.code());
+        let mut stats = SelectionStats::default();
+        let mut error_run = 0u64;
+        let mut selected = 0usize;
+        for verdict in st.verdicts {
+            if selected >= options.quota {
+                break;
+            }
+            ledger.record_probe_outcome(verdict.outcome_ref(), &verdict.trace);
+            tally_outcome(verdict.outcome_ref(), &mut stats);
+            if verdict.qualified() {
+                selected += 1;
+                ledger.note_replacement_run(error_run);
+                error_run = 0;
+            } else {
+                error_run += 1;
+            }
+            match verdict.outcome {
+                WireOutcome::Selected {
+                    record,
+                    extremes,
+                    mismatches,
+                } => {
+                    if let Some(gaps) = &record.gaps {
+                        ledger.gap_pages += 1;
+                        ledger.gap_regions += u64::from(gaps.regions);
+                    }
+                    dataset.records.push(record);
+                    dataset.extreme_examples.extend(extremes);
+                    dataset.mismatch_examples.extend(mismatches);
+                }
+                WireOutcome::Poisoned { host } => ledger.poisoned_sites.push(host),
+                WireOutcome::Rejected(_) => {}
             }
         }
-        for m in result.mismatches {
-            if dataset.mismatch_examples.len() < options.max_mismatch_examples {
-                dataset.mismatch_examples.push(m);
-            }
-        }
+        ledger.note_replacement_run(error_run);
+        // First-N example capture, in study order then site order.
+        dataset
+            .extreme_examples
+            .truncate(options.max_extreme_examples);
+        dataset
+            .mismatch_examples
+            .truncate(options.max_mismatch_examples);
+        stats.shortfall = (options.quota as u64).saturating_sub(stats.selected);
+        replay_span.set_virtual_ms(ledger.virtual_ms);
+        dataset.crawl_summaries.push(CountryCrawlSummary {
+            country_code: st.country.code().to_string(),
+            attempted: stats.attempted,
+            selected: stats.selected,
+            rejected_threshold: stats.rejected_threshold,
+            failed_fetch: stats.failed_fetch,
+            restricted: stats.restricted,
+        });
+        country_ledgers.push(ledger);
     }
+
+    let _fold_span = obs::trace::span("pipeline.ledger_fold", 0);
     let mut ledger = CrawlLedger::new(
         corpus.config().seed,
         *corpus.internet().fault_plan(),
@@ -1105,6 +1200,7 @@ impl WorkerState {
             request.country,
             request.start,
             request.end,
+            None,
         );
         serde_json::to_string(&verdicts).map_err(|e| format!("serialize verdicts: {e}"))
     }
@@ -1328,9 +1424,16 @@ mod tests {
         let config = small_config(47, 6);
         let corpus = config.build_corpus();
         let country = corpus.countries().next().unwrap();
-        let verdicts = execute_unit(&corpus, config.browser, country, 0, 6);
+        let mut verdicts = execute_unit(&corpus, config.browser, country, 0, 6, None);
         assert_eq!(verdicts.len(), 6);
-        assert!(verdicts.iter().any(|v| v.is_selected()));
+        assert!(verdicts.iter().any(|v| v.qualified()));
+        // A poisoned site crosses the wire as its own verdict.
+        verdicts.push(WireVerdict {
+            outcome: WireOutcome::Poisoned {
+                host: "sangbad-3.bd".to_string(),
+            },
+            trace: VisitTrace::default(),
+        });
         let json = serde_json::to_string(&verdicts).unwrap();
         let back: Vec<WireVerdict> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, verdicts);

@@ -13,13 +13,15 @@
 //!
 //! * [`stats`] — summaries, CDFs, histograms, count grids.
 //! * [`selection`] — the §2 inclusion criteria (languages and websites).
-//! * [`pipeline`] — crawl + extract + filter + classify + audit, per
-//!   country on a worker pool, with unwind-guarded work units.
+//! * [`pipeline`] — `build_dataset` (the build engine over in-process
+//!   worker threads) and the per-site analysis: filter + classify +
+//!   audit + Kizuki rescoring.
 //! * [`ledger`] — the degraded-run ledger: per-country error taxonomy,
 //!   retry/backoff/breaker accounting, replacement-chain depth.
-//! * [`dist`] — the fault-tolerant distributed build: coordinator/worker
-//!   sharding with lease-based reassignment, checkpoint/resume, and
-//!   byte-identical recovery under injected crashes.
+//! * [`dist`] — the one build engine: wave planner, unwind-guarded work
+//!   units, verdict replay, and the fault-tolerant coordinator
+//!   (lease-based reassignment, checkpoint/resume) behind any transport,
+//!   in-process or worker processes.
 //! * [`dataset`] — the serializable LangCrUX data model.
 //! * [`analysis`] — one function per paper artefact.
 //! * [`render`] — plain-text rendering used by the `repro` harness.

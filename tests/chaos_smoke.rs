@@ -1,13 +1,16 @@
 //! Chaos smoke: the crawl engine must *finish* under the most hostile
 //! fault plan the repo ships, account for every candidate it consumed,
 //! and contain an injected per-site analysis panic to a single ledger
-//! entry — no poisoned pool, no hung run, no silent data loss.
+//! entry — no poisoned pool, no hung run, no silent data loss — with the
+//! same outcome whichever executor ran the site.
 
+use langcrux::core::dist::{build_dataset_distributed, DistOptions, LocalExecutor};
 use langcrux::core::{build_dataset, build_dataset_with_ledger, CrawlLedger, PipelineOptions};
-use langcrux::lang::Country;
+use langcrux::lang::{rng, Country};
 use langcrux::net::FaultPlan;
 use langcrux::webgen::{Corpus, CorpusConfig};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn hostile_corpus(seed: u64, sites: usize) -> Corpus {
     Corpus::build(CorpusConfig {
@@ -220,4 +223,52 @@ fn injected_panic_poisons_one_site_and_nothing_else() {
         ledger.to_json().unwrap(),
         "poisoned ledger not worker-count deterministic"
     );
+
+    // One panic policy on every executor: the coordinator driving a
+    // `LocalExecutor` directly — with and without dispatch failures —
+    // poisons the same site and produces the same bytes, and the panic
+    // never surfaces as a lost or reassigned unit.
+    for workers in [1, 2, 3] {
+        for seeded_failures in [false, true] {
+            let injected = Arc::new(AtomicU64::new(0));
+            let mut executor =
+                LocalExecutor::borrowing(&corpus).with_chaos_panic_host(Some(poison_target_host));
+            if seeded_failures {
+                let injected = Arc::clone(&injected);
+                executor.fail = Some(Arc::new(move |key: &str, attempt: u32| {
+                    let fail = attempt < (rng::stream_id(key) % 3) as u32;
+                    injected.fetch_add(u64::from(fail), Ordering::SeqCst);
+                    fail
+                }));
+            }
+            let build = build_dataset_distributed(
+                &corpus,
+                &executor,
+                &DistOptions {
+                    quota: options.quota,
+                    workers,
+                    ..DistOptions::default()
+                },
+            )
+            .expect("distributed build");
+            let what = format!("workers = {workers}, seeded failures = {seeded_failures}");
+            assert_eq!(
+                build.dataset.to_json().unwrap(),
+                degraded.to_json().unwrap(),
+                "{what}"
+            );
+            assert_eq!(
+                build.ledger.to_json().unwrap(),
+                ledger.to_json().unwrap(),
+                "{what}"
+            );
+            assert!(build.ledger.degraded_units.is_empty(), "{what}");
+            assert_eq!(
+                build.stats.reassignments,
+                injected.load(Ordering::SeqCst),
+                "{what}: reassignments beyond the injected failures"
+            );
+            assert_eq!(seeded_failures, build.stats.reassignments > 0, "{what}");
+        }
+    }
 }
