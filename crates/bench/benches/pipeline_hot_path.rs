@@ -2,12 +2,12 @@
 //! layer the single-pass refactor touched, plus the end-to-end pipeline.
 //!
 //! Run with `cargo bench -p langcrux-bench --bench pipeline_hot_path`.
-//! The machine-readable before/after record lives in `BENCH_pipeline.json`
-//! (regenerate via `cargo run --release -p langcrux-bench --bin repro --
+//! The machine-readable record lives in `BENCH_pipeline.json` (regenerate
+//! via `cargo run --release -p langcrux-bench --bin repro --
 //! --bench-json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use langcrux_bench::{baseline, build_corpus, Scale};
+use langcrux_bench::{build_corpus, Scale};
 use langcrux_core::{build_dataset, PipelineOptions};
 use langcrux_crawl::{extract, extract_streaming};
 use langcrux_html::{parse, stream_visible_text_histogram, visible_text, visible_text_histogram};
@@ -159,25 +159,11 @@ fn bench_webgen_alloc(c: &mut Criterion) {
         })
     });
 
-    // The end-to-end render the optimisations feed into, in three forms:
-    // the preserved pre-arena renderer (fresh generators + per-label
-    // Strings every page), the fresh-scratch wrapper, and the pooled
-    // arena the corpus content path actually runs. All three emit
-    // identical bytes (oracle-tested in bench::render_seed); the CI gate
-    // asserts render_pooled ≥ 1.2× render_unpooled via BENCH_pipeline's
-    // render.speedup record.
+    // The end-to-end render the optimisations feed into, in two forms:
+    // the fresh-scratch wrapper and the pooled arena the corpus content
+    // path actually runs. Both emit identical bytes (pinned by
+    // crates/webgen/tests/render_digest.rs).
     let plan = SitePlan::build(42, Country::Bangladesh, 1, Some(true));
-    group.bench_function("render_unpooled_prearena", |b| {
-        b.iter(|| {
-            black_box(langcrux_bench::render_seed::render_seed(
-                &plan,
-                ContentVariant::Localized,
-                "/",
-            ))
-            .0
-            .len()
-        })
-    });
     group.bench_function("render_fresh_scratch", |b| {
         b.iter(|| {
             black_box(render(&plan, ContentVariant::Localized, "/"))
@@ -204,7 +190,7 @@ fn bench_webgen_alloc(c: &mut Criterion) {
     group.finish();
 }
 
-/// End to end: seed pipeline vs fused engine on the same small corpus.
+/// End to end: the fused engine on a small corpus.
 fn bench_pipeline_end_to_end(c: &mut Criterion) {
     let corpus = build_corpus(0xBEAC4, Scale::Sites(12));
     let options = PipelineOptions {
@@ -213,9 +199,6 @@ fn bench_pipeline_end_to_end(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("pipeline_hot_path");
     group.sample_size(10);
-    group.bench_function("build_dataset_seed_baseline", |b| {
-        b.iter(|| baseline::build_dataset_seed(black_box(&corpus), options))
-    });
     group.bench_function("build_dataset_fused", |b| {
         b.iter(|| build_dataset(black_box(&corpus), options))
     });

@@ -16,10 +16,9 @@
 //!         | ablation-vpn | ablation-langid | ablation-crawl
 //! ```
 //!
-//! `--bench-json` times the seed pipeline against the fused single-pass
-//! engine at `Scale::Quick` and `Scale::Default` (or the scale given by
-//! `--sites/--quick/--full`), writing the before/after record to
-//! `BENCH_pipeline.json` (or PATH). Bench flags replace the implicit
+//! `--bench-json` times the fused single-pass engine at `Scale::Quick` and
+//! `Scale::Default` (or the scale given by `--sites/--quick/--full`),
+//! writing the record to `BENCH_pipeline.json` (or PATH). Bench flags replace the implicit
 //! `all` artefact run; artefacts named explicitly alongside a bench flag
 //! are still produced.
 //! On multi-core hosts the record also carries per-worker-count timings
@@ -627,15 +626,12 @@ fn main() {
         } else {
             vec![Scale::Quick, Scale::Default]
         };
-        eprintln!(
-            "timing seed vs fused pipeline at {} scale(s) …",
-            scales.len()
-        );
+        eprintln!("timing the fused pipeline at {} scale(s) …", scales.len());
         let report = langcrux_bench::perf::pipeline_bench_report(args.seed, &scales);
         for t in &report.timings {
             eprintln!(
-                "  {:<10} {:>6} sites/country: baseline {:>9.1} ms, fused {:>9.1} ms — {:.2}×",
-                t.scale, t.sites_per_country, t.baseline_ms, t.fused_ms, t.speedup
+                "  {:<10} {:>6} sites/country: fused {:>9.1} ms, {} records",
+                t.scale, t.sites_per_country, t.fused_ms, t.records
             );
         }
         let s = &report.stream_vs_dom;
@@ -645,8 +641,8 @@ fn main() {
         );
         let r = &report.render;
         eprintln!(
-            "  per-page render ({} pages): pre-arena {:.1} µs, pooled {:.1} µs — {:.2}×",
-            r.pages, r.baseline_us_per_page, r.render_us_per_page, r.speedup
+            "  per-page render ({} pages): pooled {:.1} µs",
+            r.pages, r.render_us_per_page
         );
         langcrux_bench::perf::write_bench_json(path, &report).expect("write bench json");
         eprintln!("wrote {path}");

@@ -7,36 +7,32 @@
 //!
 //! ## Performance tracking
 //!
-//! * [`baseline`] preserves the seed implementation's hot path (per-country
-//!   threads, visible-text re-scans, `Vec`-probed histogram, per-site
-//!   Kizuki construction) as the before side of every perf comparison.
-//! * [`perf`] times the seed baseline against the fused single-pass engine
-//!   and emits the machine-readable record `BENCH_pipeline.json`:
+//! * [`perf`] times the fused single-pass engine and emits the
+//!   machine-readable record `BENCH_pipeline.json`:
 //!
 //!   ```text
 //!   cargo run --release -p langcrux-bench --bin repro -- --bench-json
 //!   ```
 //!
-//!   writes `BENCH_pipeline.json` with before/after wall-clock at
+//!   writes `BENCH_pipeline.json` with pipeline wall-clock at
 //!   `Scale::Quick` and `Scale::Default` (pass `--sites N`/`--quick`/
 //!   `--full` to time a single chosen scale, and an optional path argument
-//!   after `--bench-json` to redirect the output). Numbers depend on the
-//!   host; the JSON records `available_cores` so the fusion share and the
-//!   work-stealing parallel share can be told apart.
+//!   after `--bench-json` to redirect the output), per-page render and
+//!   per-visit extraction costs, and the resilience, tracing and
+//!   distributed-coordinator records. Numbers depend on the host; the
+//!   JSON records `available_cores` so the work-stealing parallel share
+//!   can be told apart.
 //! * `cargo bench -p langcrux-bench --bench pipeline_hot_path` runs the
-//!   per-layer before/after microbenches (fused extraction vs re-scan,
-//!   streaming tokenize→extract vs DOM materialisation per visit
-//!   (`stream_vs_dom`), table lookups, composition from the carried
-//!   histogram, and the end-to-end pipeline pair).
+//!   per-layer microbenches (fused extraction vs re-scan, streaming
+//!   tokenize→extract vs DOM materialisation per visit (`stream_vs_dom`),
+//!   table lookups, composition from the carried histogram, page render,
+//!   and the end-to-end pipeline).
 //!
-//! Every field of both JSON artefacts, and how CI's relative gates map
-//! to the committed 1-core reference numbers, is documented in
-//! `docs/benchmarks.md`.
+//! Every field of both JSON artefacts, and how CI's gates map to the
+//! committed reference numbers, is documented in `docs/benchmarks.md`.
 
-pub mod baseline;
 pub mod dist;
 pub mod perf;
-pub mod render_seed;
 pub mod serve_bench;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};

@@ -1,16 +1,15 @@
 //! Wall-clock measurement of the pipeline hot path and the
 //! `BENCH_pipeline.json` emitter behind `repro --bench-json`.
 //!
-//! The report compares [`baseline::build_dataset_seed`] (the seed
-//! implementation: per-country threads, composition re-scan, `Vec`-probed
-//! histogram, per-site `Kizuki::standard()`) against the fused single-pass
-//! engine on the same corpus, at one or more scales. Regenerate with:
+//! The report times the fused single-pass engine at one or more scales,
+//! plus per-page render, per-visit extraction, and the resilience, tracing
+//! and distributed-coordinator records. Regenerate with:
 //!
 //! ```text
 //! cargo run --release -p langcrux-bench --bin repro -- --bench-json
 //! ```
 
-use crate::{baseline, build_corpus, build_corpus_with_plan, render_seed, Scale};
+use crate::{build_corpus, build_corpus_with_plan, Scale};
 use langcrux_core::dist::{build_dataset_distributed, DistOptions, LocalExecutor, WireBuildConfig};
 use langcrux_core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
 use langcrux_crawl::{default_threads, extract, extract_streaming, BrowserConfig};
@@ -22,22 +21,19 @@ use langcrux_webgen::{render, render_into, RenderScratch, SitePlan};
 use serde::Serialize;
 use std::time::Instant;
 
-/// Before/after wall-clock for one scale.
+/// Pipeline wall-clock for one scale.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleTiming {
     pub scale: String,
     pub sites_per_country: usize,
-    /// Seed pipeline (re-scan + per-country threads), milliseconds.
-    pub baseline_ms: f64,
     /// Fused single-pass engine with the work-stealing pool, milliseconds.
     pub fused_ms: f64,
-    pub speedup: f64,
-    /// Records produced (sanity: both pipelines must agree).
+    /// Records produced.
     pub records: usize,
 }
 
-/// Wall-clock of the fused pipeline at one fixed worker count — the
-/// parallel share of the speedup, separated from the algorithmic share.
+/// Wall-clock of the fused pipeline at one fixed worker count, which
+/// isolates the parallel share of the build time.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkerTiming {
     pub workers: usize,
@@ -62,8 +58,7 @@ pub struct PipelineBenchReport {
     /// Per-visit extraction: streaming tokenize→extract vs DOM
     /// materialisation (the PR-3 crawl-path win, isolated).
     pub stream_vs_dom: StreamVsDomTiming,
-    /// Per-page generation: pooled render arena vs the preserved
-    /// pre-arena renderer (the zero-alloc-render win, isolated).
+    /// Per-page generation through the pooled render arena.
     pub render: RenderTiming,
     /// Resilience machinery cost on a clean network, plus a HOSTILE-plan
     /// degraded run's ledger headline numbers.
@@ -376,20 +371,15 @@ pub fn resilience_timing(seed: u64, scale: Scale) -> ResilienceRecord {
     }
 }
 
-/// Per-page render wall-clock: the pre-arena renderer (fresh generators,
-/// fresh output buffer, per-label `String` returns — preserved as
-/// `bench::render_seed`) vs the pooled [`RenderScratch`] engine the corpus
-/// content path runs. Both produce identical bytes and truth (asserted
-/// before timing), so the delta is exactly the allocation churn.
+/// Per-page render wall-clock of the pooled [`RenderScratch`] engine the
+/// corpus content path runs. The bytes of this page sample are pinned by
+/// committed digests in `crates/webgen/tests/render_digest.rs`.
 #[derive(Debug, Clone, Serialize)]
 pub struct RenderTiming {
     /// Pages in the sample (every study country, both content variants).
     pub pages: usize,
-    /// Pre-arena renderer, microseconds per page.
-    pub baseline_us_per_page: f64,
     /// Pooled-arena renderer, microseconds per page.
     pub render_us_per_page: f64,
-    pub speedup: f64,
 }
 
 /// Measure [`RenderTiming`] over a fresh plan sample.
@@ -403,26 +393,10 @@ pub fn render_timing(seed: u64) -> RenderTiming {
             }
         }
     }
-    // The comparison is only meaningful if both paths emit the same page.
     let mut scratch = RenderScratch::new();
     let mut out = String::new();
-    for (plan, variant) in &plans {
-        let (expect_html, expect_truth) = render_seed::render_seed(plan, *variant, "/");
-        out.clear();
-        let truth = render_into(plan, *variant, "/", &mut scratch, &mut out);
-        assert_eq!(out, expect_html, "pooled render diverged from the oracle");
-        assert_eq!(truth, expect_truth, "pooled truth diverged from the oracle");
-    }
-
-    let mut baseline_s = f64::INFINITY;
     let mut pooled_s = f64::INFINITY;
     for _ in 0..RUNS.max(3) {
-        let start = Instant::now();
-        for (plan, variant) in &plans {
-            std::hint::black_box(render_seed::render_seed(plan, *variant, "/").0.len());
-        }
-        baseline_s = baseline_s.min(start.elapsed().as_secs_f64());
-
         let start = Instant::now();
         for (plan, variant) in &plans {
             out.clear();
@@ -431,12 +405,9 @@ pub fn render_timing(seed: u64) -> RenderTiming {
         }
         pooled_s = pooled_s.min(start.elapsed().as_secs_f64());
     }
-    let per_page = 1e6 / plans.len() as f64;
     RenderTiming {
         pages: plans.len(),
-        baseline_us_per_page: baseline_s * per_page,
-        render_us_per_page: pooled_s * per_page,
-        speedup: baseline_s / pooled_s.max(1e-12),
+        render_us_per_page: pooled_s * 1e6 / plans.len() as f64,
     }
 }
 
@@ -565,7 +536,7 @@ fn scale_name(scale: Scale) -> String {
 /// wall-clock numbers on shared/noisy hosts).
 const RUNS: usize = 2;
 
-/// Time both pipelines on a fresh corpus at `scale`.
+/// Time the fused pipeline on a fresh corpus at `scale`.
 pub fn time_scale(seed: u64, scale: Scale) -> ScaleTiming {
     let corpus = build_corpus(seed, scale);
     let options = PipelineOptions {
@@ -574,35 +545,18 @@ pub fn time_scale(seed: u64, scale: Scale) -> ScaleTiming {
     };
 
     let mut records = 0;
-    let mut baseline_ms = f64::INFINITY;
     let mut fused_ms = f64::INFINITY;
-    for run in 0..RUNS {
+    for _ in 0..RUNS {
         let start = Instant::now();
-        let before = baseline::build_dataset_seed(&corpus, options);
-        baseline_ms = baseline_ms.min(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        let after = build_dataset(&corpus, options);
+        let ds = build_dataset(&corpus, options);
         fused_ms = fused_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        records = after.len();
-
-        // The speedup is only meaningful if both pipelines did the same
-        // work: full byte equality, checked once (outside the timed spans).
-        if run == 0 {
-            assert_eq!(
-                before.to_json().expect("serialize baseline"),
-                after.to_json().expect("serialize fused"),
-                "baseline and fused pipelines must produce identical datasets"
-            );
-        }
+        records = ds.len();
     }
 
     ScaleTiming {
         scale: scale_name(scale),
         sites_per_country: scale.sites_per_country(),
-        baseline_ms,
         fused_ms,
-        speedup: baseline_ms / fused_ms.max(1e-9),
         records,
     }
 }
@@ -628,22 +582,15 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
         observability: observability_timing(seed, scales.first().copied().unwrap_or(Scale::Quick)),
         distributed: distributed_timing(seed, scales.first().copied().unwrap_or(Scale::Quick)),
         notes: format!(
-            "baseline = seed pipeline (one thread per country, visible-text re-scan per \
-             candidate and per site, Vec-probed histogram, per-site Kizuki construction); \
-             fused = single-pass engine on the work-stealing pool, with the crawl path's \
+            "fused = single-pass engine on the work-stealing pool, with the crawl path's \
              per-visit extraction running the streaming tokenize→extract pass (no token \
              buffer, no DOM node arena — stream_vs_dom isolates that per-visit win \
              against the parse-then-walk oracle on the same pages) and page generation \
              running the pooled zero-alloc render arena over lazily sharded corpora \
-             (render isolates that per-page win against the preserved pre-arena \
-             renderer; both pipelines fetch through the same lazy corpus, so the \
-             end-to-end speedup understates the render share). The ≥2x target \
-             decomposes into an algorithmic (fusion) share and a parallelism share; with \
+             (render times that arena per page; the sample's bytes are pinned by \
+             committed digests in crates/webgen/tests/render_digest.rs). With \
              available_parallelism() = {cores} on this host the pool contributes \
-             {par}, so the speedup recorded here is the fusion share alone. On any \
-             multi-core host the pool multiplies it further (the seed capped at 12 \
-             country threads; the pool uses every core and steals across the country \
-             tail). worker_scaling records the fused pipeline per worker count on \
+             {par}; worker_scaling records the fused pipeline per worker count on \
              multi-core hosts, isolating that parallel share. resilience records the \
              resilient crawl engine's fault-free tax (ledger-folding RELIABLE build vs \
              the plain one on the same corpus; CI gates the ratio at 1.03) and the \
@@ -657,7 +604,7 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
              seeded kill schedule (chaos_ms / chaos_reassignments); CI gates \
              efficiency (single_process_ms / distributed_ms) at 0.25.",
             par = if cores > 1 {
-                "additional parallel speedup"
+                "a parallel share"
             } else {
                 "nothing (hardware-bound)"
             },
@@ -713,11 +660,9 @@ mod tests {
         let t = render_timing(7);
         // 12 countries × 4 sites × 2 variants.
         assert_eq!(t.pages, 96);
-        assert!(t.baseline_us_per_page > 0.0 && t.render_us_per_page > 0.0);
-        assert!(t.speedup > 0.0);
+        assert!(t.render_us_per_page > 0.0);
         let json = serde_json::to_string(&t).unwrap();
         assert!(json.contains("render_us_per_page"));
-        assert!(json.contains("baseline_us_per_page"));
     }
 
     #[test]
@@ -782,11 +727,9 @@ mod tests {
         let report = pipeline_bench_report(41, &[Scale::Sites(6)]);
         assert_eq!(report.timings.len(), 1);
         let t = &report.timings[0];
-        // 6 sites × 12 countries, allowing small-corpus shortfall; exact
-        // baseline/fused agreement is asserted inside time_scale.
+        // 6 sites × 12 countries, allowing small-corpus shortfall.
         assert!(t.records > 60 && t.records <= 72, "records = {}", t.records);
-        assert!(t.baseline_ms > 0.0 && t.fused_ms > 0.0);
-        assert!(t.speedup > 0.0);
+        assert!(t.fused_ms > 0.0);
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("pipeline_hot_path"));
     }

@@ -39,15 +39,21 @@ pub fn rng_for(base: u64, streams: &[u64]) -> StdRng {
     StdRng::seed_from_u64(derive(base, streams))
 }
 
-/// Hash a string into a stable stream id (FNV-1a), so hostnames and other
-/// textual keys can participate in seed derivation.
-pub fn stream_id(s: &str) -> u64 {
+/// 64-bit FNV-1a over arbitrary bytes: the workspace's one identity hash
+/// (stream ids, serve cache keys, committed byte digests).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.as_bytes() {
-        hash ^= u64::from(*b);
+    for &b in bytes {
+        hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// Hash a string into a stable stream id (FNV-1a), so hostnames and other
+/// textual keys can participate in seed derivation.
+pub fn stream_id(s: &str) -> u64 {
+    fnv1a64(s.as_bytes())
 }
 
 #[cfg(test)]
@@ -78,6 +84,14 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), seeds.len());
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -15,23 +15,12 @@
 //! intrusive list — and trivially correct, which the eviction-order tests
 //! exercise directly.
 
+use langcrux_lang::rng::fnv1a64;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// 64-bit FNV-1a over arbitrary bytes.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
 
 /// Murmur3's 64-bit finalizer (fmix64): two xor-shift/multiply rounds that
 /// give full avalanche — every input bit flips every output bit with
@@ -246,14 +235,6 @@ mod tests {
 
     fn val(s: &str) -> Arc<Vec<u8>> {
         Arc::new(s.as_bytes().to_vec())
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

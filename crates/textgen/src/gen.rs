@@ -397,11 +397,6 @@ impl TextGenerator {
         }
         self.append_phrase(1, 3, out);
     }
-
-    /// Expose the inner RNG for callers that need correlated decisions.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
 }
 
 fn alpha_pool_for(lang: Language) -> AlphaPool {

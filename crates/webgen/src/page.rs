@@ -14,10 +14,10 @@
 //! [`HtmlBuilder`] whose output buffer amortises to the page size. In
 //! steady state a render performs **no heap allocation** — every string the
 //! old path returned is now appended into scratch. [`render`] is the
-//! allocating convenience wrapper (fresh scratch per call) and the oracle
-//! anchor: both paths are byte- and RNG-draw-identical (pinned against the
-//! preserved pre-arena renderer in `langcrux-bench`). [`ScratchPool`]
-//! shares scratches across crawl workers.
+//! allocating convenience wrapper (fresh scratch per call): both paths are
+//! byte- and RNG-draw-identical, pinned by the committed digests in
+//! `tests/render_digest.rs`. [`ScratchPool`] shares scratches across
+//! crawl workers.
 //!
 //! Layout of the localized variant (per archetype counts):
 //!

@@ -7,17 +7,9 @@
 //! ```
 
 use langcrux::core::{build_dataset, PipelineOptions};
+use langcrux::lang::rng::fnv1a64;
 use langcrux::net::FaultPlan;
 use langcrux::webgen::{Corpus, CorpusConfig};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 fn main() {
     let sites: usize = std::env::args()
@@ -42,6 +34,6 @@ fn main() {
         sites,
         ds.len(),
         json.len(),
-        fnv1a(json.as_bytes())
+        fnv1a64(json.as_bytes())
     );
 }

@@ -5,10 +5,12 @@
 //! runs and across worker counts (1, 2, and one-per-core).
 //!
 //! The committed digests at the bottom pin the exact bytes of three small
-//! gap-enabled builds (clean, HOSTILE, one poisoned site), so a change to
-//! the build engine cannot move the dataset or ledger unnoticed.
+//! gap-enabled builds (clean, HOSTILE, one poisoned site) and of one
+//! gaps-off build under the default fault plan, so a change to the build
+//! engine cannot move the dataset or ledger unnoticed.
 
 use langcrux::core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
+use langcrux::lang::rng::fnv1a64;
 use langcrux::lang::Country;
 use langcrux::net::FaultPlan;
 use langcrux::webgen::{Corpus, CorpusConfig};
@@ -125,12 +127,7 @@ fn build_digest(corpus: &Corpus, options: PipelineOptions) -> u64 {
     let (dataset, ledger) = build_dataset_with_ledger(corpus, options);
     let dataset = dataset.to_json().expect("dataset serializes");
     let ledger = ledger.to_json().expect("ledger serializes");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in dataset.bytes().chain(ledger.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    fnv1a64((dataset + &ledger).as_bytes())
 }
 
 /// A small gap-enabled corpus under `fault_plan`.
@@ -144,17 +141,18 @@ fn gapped_corpus(seed: u64, fault_plan: FaultPlan) -> Corpus {
 
 const PINNED_QUOTA: usize = 12;
 
+/// `PipelineOptions::default()` at the pinned quota.
+fn pinned_options() -> PipelineOptions {
+    PipelineOptions {
+        quota: PINNED_QUOTA,
+        ..PipelineOptions::default()
+    }
+}
+
 /// Assert `digest` at one worker and at one per core.
 fn assert_pinned(corpus: &Corpus, options: PipelineOptions, digest: u64, what: &str) {
     for threads in [1, 0] {
-        let got = build_digest(
-            corpus,
-            PipelineOptions {
-                quota: PINNED_QUOTA,
-                threads,
-                ..options
-            },
-        );
+        let got = build_digest(corpus, PipelineOptions { threads, ..options });
         assert_eq!(
             got, digest,
             "{what}: dataset+ledger digest {got:#018x} moved at {threads} workers"
@@ -165,23 +163,13 @@ fn assert_pinned(corpus: &Corpus, options: PipelineOptions, digest: u64, what: &
 #[test]
 fn pinned_digest_clean_gapped_build() {
     let corpus = gapped_corpus(61, FaultPlan::default());
-    assert_pinned(
-        &corpus,
-        PipelineOptions::default(),
-        0x5cf9_3ed4_bd97_b4f3,
-        "clean",
-    );
+    assert_pinned(&corpus, pinned_options(), 0x5cf9_3ed4_bd97_b4f3, "clean");
 }
 
 #[test]
 fn pinned_digest_hostile_gapped_build() {
     let corpus = gapped_corpus(67, FaultPlan::HOSTILE);
-    assert_pinned(
-        &corpus,
-        PipelineOptions::default(),
-        0x6b5f_7c2a_718f_3c24,
-        "hostile",
-    );
+    assert_pinned(&corpus, pinned_options(), 0x6b5f_7c2a_718f_3c24, "hostile");
 }
 
 /// The one host the poisoned pinned build panics on.
@@ -195,12 +183,27 @@ fn poison_fixed_host(host: &str) -> bool {
 fn pinned_digest_poisoned_gapped_build() {
     let corpus = gapped_corpus(61, FaultPlan::default());
     let options = PipelineOptions {
-        quota: PINNED_QUOTA,
         chaos_panic_host: Some(poison_fixed_host),
-        ..PipelineOptions::default()
+        ..pinned_options()
     };
     // The hook really fired: exactly the fixed host is poisoned.
     let (_, ledger) = build_dataset_with_ledger(&corpus, options);
     assert_eq!(ledger.totals.poisoned_sites, vec![POISONED_HOST]);
     assert_pinned(&corpus, options, 0xd1cf_a0ce_7af2_bc00, "poisoned");
+}
+
+#[test]
+fn pinned_digest_gaps_off_default_plan_build() {
+    // The historical corpus: no gap scenarios, the default fault plan.
+    let corpus = langcrux_bench::build_corpus(31, langcrux_bench::Scale::Sites(8));
+    let options = PipelineOptions {
+        quota: 8,
+        ..PipelineOptions::default()
+    };
+    assert_pinned(
+        &corpus,
+        options,
+        0x1f16_ae0c_cdf5_d6f1,
+        "gaps-off default-plan",
+    );
 }
