@@ -47,6 +47,8 @@ pub struct WorkerTiming {
 pub struct PipelineBenchReport {
     pub bench: String,
     pub seed: u64,
+    /// Commit the producing binary was built from.
+    pub git_sha: String,
     /// Worker threads the fused pipeline used (= available cores).
     pub threads: usize,
     /// Hardware parallelism of the machine that produced the numbers.
@@ -572,6 +574,7 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
     PipelineBenchReport {
         bench: "pipeline_hot_path/build_dataset".to_string(),
         seed,
+        git_sha: langcrux_obs::registry::git_sha().to_string(),
         threads: cores,
         available_cores: cores,
         timings,

@@ -84,6 +84,10 @@ impl ServeBenchConfig {
 pub struct ServeBenchReport {
     pub bench: String,
     pub seed: u64,
+    /// Commit the producing binary was built from.
+    pub git_sha: String,
+    /// Hardware parallelism of the machine that produced the numbers.
+    pub available_cores: usize,
     pub pages: usize,
     pub connections: usize,
     /// Mean page size of the workload, bytes.
@@ -294,6 +298,8 @@ pub fn serve_bench_report(seed: u64, config: ServeBenchConfig) -> ServeBenchRepo
     ServeBenchReport {
         bench: "serve/audit_loopback".to_string(),
         seed,
+        git_sha: langcrux_obs::registry::git_sha().to_string(),
+        available_cores: langcrux_crawl::default_threads(),
         pages: config.pages,
         connections: config.connections,
         mean_page_bytes,

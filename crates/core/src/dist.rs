@@ -965,9 +965,11 @@ fn run_wave<E: UnitExecutor + ?Sized>(
         wake.notify_all();
     };
 
+    // Dispatchers run each unit in the caller's trace context.
+    let trace = obs::trace::context();
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let (queue, wake, settle) = (&queue, &wake, &settle);
+            let (queue, wake, settle, trace) = (&queue, &wake, &settle, &trace);
             let (resolutions, stats) = (&resolutions, &stats);
             scope.spawn(move || {
                 let mut consecutive_failures = 0u32;
@@ -996,10 +998,10 @@ fn run_wave<E: UnitExecutor + ?Sized>(
                         s.heartbeat_failures += 1;
                         s.worker_revivals += u64::from(revived);
                     }
-                    // Depth-fence the unit so its spans nest identically
-                    // at every worker count.
+                    // Fence the unit so its spans land in the caller's
+                    // session and nest identically at every worker count.
                     let result = {
-                        let _fence = obs::trace::task_fence();
+                        let _fence = trace.fence();
                         executor.execute(worker, attempt, req)
                     };
                     match result {

@@ -57,16 +57,18 @@ where
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
     let threads = threads.max(1).min(tasks.len().max(1));
+    // Each task runs in the caller's trace context, under a depth fence,
+    // so its spans land in the caller's session and nest identically
+    // whether it runs inline here (under the caller's open orchestration
+    // span) or on a pool worker.
+    let trace = langcrux_obs::trace::context();
     if threads == 1 {
         let mut state = init(0);
         return tasks
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                // Depth-fence each task so trace spans nest identically
-                // whether the task runs inline here (under the caller's
-                // open orchestration span) or on a pool worker.
-                let _fence = langcrux_obs::trace::task_fence();
+                let _fence = trace.fence();
                 f(&mut state, i, t)
             })
             .collect();
@@ -86,6 +88,7 @@ where
     let queues = &queues;
     let f = &f;
     let init = &init;
+    let trace = &trace;
 
     let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -106,7 +109,7 @@ where
                         };
                         match next {
                             Some(i) => {
-                                let _fence = langcrux_obs::trace::task_fence();
+                                let _fence = trace.fence();
                                 results.push((i, f(&mut state, i, &tasks[i])));
                             }
                             None => break,

@@ -1,18 +1,29 @@
 //! Deterministic span tracing for the langcrux pipeline.
 //!
-//! One global *trace session* at a time; every thread that opens a span
-//! while a session is active lazily registers a fixed-capacity,
-//! single-producer span buffer ("worker ring") and appends completed
-//! spans to it with no locks on the hot path. [`TraceSession::finish`]
-//! merges the rings into a [`TraceReport`].
+//! [`start`] opens a *trace session* and makes it the calling thread's
+//! trace context until [`TraceSession::finish`]. A thread records spans
+//! only inside a session's context: the starting thread, plus any thread
+//! running a task under a [`Context::fence`] opened from a [`context`]
+//! captured inside the session. Each recording thread lazily registers a
+//! fixed-capacity, single-producer span buffer ("worker ring") with its
+//! session and appends completed spans to it with no locks on the hot
+//! path; `finish` merges the session's rings into a [`TraceReport`].
+//!
+//! Sessions are independent values, not a process-wide mode: any number
+//! may be live at once on different threads, `start` never waits for
+//! another session, and work done outside a session's context — an
+//! untraced build beside a traced one, a server thread — never lands in
+//! its report.
 //!
 //! # Zero cost when disabled
 //!
-//! [`span`] and [`virtual_wait`] begin with a single `Relaxed` atomic
-//! load of the global `ACTIVE` flag and return an inert guard when it is
-//! clear — no TLS access, no allocation, no time reads. The overhead of
-//! the disabled path is CI-gated (see `ObservabilityRecord` in
-//! `langcrux-bench`).
+//! [`span`], [`virtual_wait`], [`context`] and [`Context::fence`] begin
+//! with a single `Relaxed` load of the count of live sessions and return
+//! an inert value when it is zero — no TLS access, no allocation, no time
+//! reads. While some session is live, a thread outside every session's
+//! context pays one TLS read per call, takes no lock and registers no
+//! ring. The overhead of tracing is CI-gated (see `ObservabilityRecord`
+//! in `langcrux-bench`).
 //!
 //! # Determinism contract
 //!
@@ -27,15 +38,20 @@
 //! only with an unbounded shard cache (`resident_shards: 0`); under an
 //! LRU cap, rebuild counts depend on eviction interleaving.
 //!
-//! Each work-stealing task runs under a [`task_fence`], which makes span
-//! depth relative to the task rather than the thread. Without it, a
+//! # Carrying the context to workers
+//!
+//! A spawner captures [`context`] once and runs each task under
+//! `ctx.fence()`, on whichever thread picks the task up. The fence
+//! installs the captured session and makes span depth relative to the
+//! task rather than the thread. Without the depth reset, a
 //! single-threaded run (pool tasks inlined on the caller thread under an
 //! open orchestration span) would record different depths than a
 //! multi-threaded one.
 
 use std::cell::{RefCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One recorded span. `name`/`key`/`depth`/`virtual_ms` are
@@ -48,7 +64,7 @@ pub struct SpanRecord {
     /// Deterministic discriminator within a stage (host hash, wave
     /// ordinal, country index, …).
     pub key: u64,
-    /// Nesting depth relative to the enclosing [`task_fence`].
+    /// Nesting depth relative to the enclosing [`Context::fence`].
     pub depth: u32,
     /// Wall-clock start, µs since the session epoch.
     pub start_us: u64,
@@ -95,6 +111,8 @@ impl Default for TraceConfig {
 /// a straggling producer can never race the reader onto the same slot.
 struct WorkerRing {
     worker: u32,
+    /// The session's start; span times are µs since it.
+    origin: Instant,
     slots: Box<[UnsafeCell<SpanRecord>]>,
     len: AtomicUsize,
     dropped: AtomicU64,
@@ -107,9 +125,10 @@ unsafe impl Sync for WorkerRing {}
 unsafe impl Send for WorkerRing {}
 
 impl WorkerRing {
-    fn new(worker: u32, capacity: usize) -> WorkerRing {
+    fn new(worker: u32, origin: Instant, capacity: usize) -> WorkerRing {
         WorkerRing {
             worker,
+            origin,
             slots: (0..capacity.max(1))
                 .map(|_| UnsafeCell::new(SpanRecord::EMPTY))
                 .collect(),
@@ -138,158 +157,158 @@ impl WorkerRing {
     }
 }
 
-struct SessionState {
-    epoch: u64,
+/// One live session: its configuration, its start instant and the rings
+/// its threads registered.
+struct Session {
     config: TraceConfig,
-    start: Instant,
-    rings: Vec<Arc<WorkerRing>>,
+    origin: Instant,
+    rings: Mutex<Vec<Arc<WorkerRing>>>,
 }
 
-/// Fast-path switch: one `Relaxed` load decides span/fence inertness.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Current session epoch (0 = none); lets TLS detect stale registration.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-fn session() -> &'static (Mutex<Option<SessionState>>, Condvar) {
-    static S: std::sync::OnceLock<(Mutex<Option<SessionState>>, Condvar)> =
-        std::sync::OnceLock::new();
-    S.get_or_init(|| (Mutex::new(None), Condvar::new()))
+impl Session {
+    /// Register a ring for the calling thread (once per thread).
+    fn register(&self) -> Arc<WorkerRing> {
+        let mut rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = Arc::new(WorkerRing::new(
+            rings.len() as u32,
+            self.origin,
+            self.config.capacity_per_worker,
+        ));
+        rings.push(Arc::clone(&ring));
+        ring
+    }
 }
+
+/// Sessions started and not yet finished. While it is zero no thread can
+/// be inside a session's context, so one `Relaxed` load decides
+/// span/fence inertness. `Relaxed` suffices because the count publishes
+/// nothing: a thread enters a context only on the starting thread after
+/// the increment, or through a [`Context`] handed over by a spawn or a
+/// lock, which orders the increment before the entry.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 struct Tls {
-    epoch: u64,
-    ring: Option<Arc<WorkerRing>>,
-    epoch_start: Instant,
+    /// The session this thread records into, if any.
+    session: Option<Arc<Session>>,
+    /// This thread's ring and the session it belongs to. It outlives the
+    /// fences of that session, so a pool worker reuses one ring for
+    /// every task it runs.
+    ring: Option<(Arc<Session>, Arc<WorkerRing>)>,
     depth: u32,
     base: u32,
 }
 
-thread_local! {
-    static TLS: RefCell<Tls> = RefCell::new(Tls {
-        epoch: 0,
-        ring: None,
-        epoch_start: Instant::now(),
-        depth: 0,
-        base: 0,
-    });
+impl Tls {
+    /// The ring this thread records into, registered on its first span
+    /// in the session; `None` outside every session's context.
+    fn ring(&mut self) -> Option<Arc<WorkerRing>> {
+        let session = self.session.as_ref()?;
+        if let Some((owner, ring)) = &self.ring {
+            if Arc::ptr_eq(owner, session) {
+                return Some(Arc::clone(ring));
+            }
+        }
+        let ring = session.register();
+        self.ring = Some((Arc::clone(session), Arc::clone(&ring)));
+        Some(ring)
+    }
 }
 
-/// Is a trace session currently active? (The same `Relaxed` load the
-/// span fast path uses.)
+thread_local! {
+    static TLS: RefCell<Tls> = const {
+        RefCell::new(Tls {
+            session: None,
+            ring: None,
+            depth: 0,
+            base: 0,
+        })
+    };
+}
+
+/// Does the calling thread record spans — is it inside a session's
+/// context? Sessions on other threads do not count.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    LIVE.load(Ordering::Relaxed) != 0 && TLS.with(|t| t.borrow().session.is_some())
 }
 
-/// Start the global trace session. If another session is active, blocks
-/// until it finishes — sessions are exclusive so concurrently running
-/// tests cannot interleave their spans.
+/// Start a trace session and make it the calling thread's trace context
+/// until [`TraceSession::finish`]. Never blocks: sessions on other
+/// threads are independent, and a session started inside another one's
+/// context takes over this thread's recording until it finishes.
 pub fn start(config: TraceConfig) -> TraceSession {
-    let (lock, cvar) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    while guard.is_some() {
-        guard = cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
-    }
-    let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-    *guard = Some(SessionState {
-        epoch,
+    let session = Arc::new(Session {
         config,
-        start: Instant::now(),
-        rings: Vec::new(),
+        origin: Instant::now(),
+        rings: Mutex::new(Vec::new()),
     });
-    EPOCH.store(epoch, Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
+    LIVE.fetch_add(1, Ordering::Relaxed);
     TraceSession {
-        epoch,
-        finished: false,
+        _context: Fence::enter(Some(Arc::clone(&session))),
+        session,
     }
 }
 
-/// Handle to the active session; finish it to collect the report. Spans
+/// Handle to a live session; finish it to collect the report. Spans
 /// recorded after `finish` (or on a ring that filled) are dropped with
 /// accounting, never corrupted.
+///
+/// The session is the starting thread's trace context, so it must be
+/// finished on that thread; it is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<langcrux_obs::trace::TraceSession>();
+/// ```
 #[must_use = "finish() collects the report; dropping ends the session empty"]
 pub struct TraceSession {
-    epoch: u64,
-    finished: bool,
+    session: Arc<Session>,
+    /// Restores the thread's previous context on drop.
+    _context: Fence,
 }
 
 impl TraceSession {
     /// End the session and merge every worker ring into a report. The
     /// caller must have joined all traced work first; spans still open
     /// on other threads are not recorded.
-    pub fn finish(mut self) -> TraceReport {
-        self.finished = true;
-        end_session(self.epoch).unwrap_or_else(TraceReport::empty)
+    pub fn finish(self) -> TraceReport {
+        let rings = self.session.rings.lock().unwrap_or_else(|e| e.into_inner());
+        let mut workers: Vec<WorkerTrace> = rings
+            .iter()
+            .map(|ring| WorkerTrace {
+                worker: ring.worker,
+                dropped: ring.dropped.load(Ordering::Relaxed),
+                spans: ring.drain(),
+            })
+            .collect();
+        workers.sort_by_key(|w| w.worker);
+        TraceReport {
+            capacity_per_worker: self.session.config.capacity_per_worker,
+            dropped_spans: workers.iter().map(|w| w.dropped).sum(),
+            workers,
+        }
     }
 }
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        if !self.finished {
-            let _ = end_session(self.epoch);
-        }
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+        // Free this thread's ring now rather than at its next session.
+        TLS.with(|t| {
+            let mut tls = t.borrow_mut();
+            if tls
+                .ring
+                .as_ref()
+                .is_some_and(|(owner, _)| Arc::ptr_eq(owner, &self.session))
+            {
+                tls.ring = None;
+            }
+        });
     }
 }
 
-fn end_session(epoch: u64) -> Option<TraceReport> {
-    let (lock, cvar) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    let state = match guard.as_ref() {
-        Some(s) if s.epoch == epoch => guard.take().unwrap(),
-        _ => return None,
-    };
-    ACTIVE.store(false, Ordering::Release);
-    EPOCH.store(0, Ordering::Release);
-    let mut workers: Vec<WorkerTrace> = state
-        .rings
-        .iter()
-        .map(|ring| WorkerTrace {
-            worker: ring.worker,
-            dropped: ring.dropped.load(Ordering::Relaxed),
-            spans: ring.drain(),
-        })
-        .collect();
-    workers.sort_by_key(|w| w.worker);
-    let report = TraceReport {
-        capacity_per_worker: state.config.capacity_per_worker,
-        dropped_spans: workers.iter().map(|w| w.dropped).sum(),
-        workers,
-    };
-    cvar.notify_one();
-    Some(report)
-}
-
-/// Ensure this thread has a ring for the current epoch; returns whether
-/// recording is possible. Resets depth bookkeeping on epoch change.
-fn ensure_registered(tls: &mut Tls, epoch: u64) -> bool {
-    if tls.epoch == epoch {
-        return tls.ring.is_some();
-    }
-    tls.epoch = epoch;
-    tls.ring = None;
-    tls.depth = 0;
-    tls.base = 0;
-    let (lock, _) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        if state.epoch == epoch {
-            let ring = Arc::new(WorkerRing::new(
-                state.rings.len() as u32,
-                state.config.capacity_per_worker,
-            ));
-            state.rings.push(Arc::clone(&ring));
-            tls.epoch_start = state.start;
-            tls.ring = Some(ring);
-            return true;
-        }
-    }
-    false
-}
-
-/// RAII span guard. Records on drop; inert (a no-op shell) when tracing
-/// is disabled.
+/// RAII span guard. Records on drop; inert (a no-op shell) outside every
+/// session's context.
 #[must_use = "a span records its duration when dropped"]
 pub struct Span {
     data: Option<SpanData>,
@@ -298,17 +317,17 @@ pub struct Span {
 struct SpanData {
     name: &'static str,
     key: u64,
-    epoch: u64,
+    ring: Arc<WorkerRing>,
     depth: u32,
     start: Instant,
     virtual_ms: u64,
 }
 
 /// Open a span for `name` with a deterministic `key`. One relaxed atomic
-/// load when tracing is off.
+/// load when no session is live.
 #[inline]
 pub fn span(name: &'static str, key: u64) -> Span {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return Span { data: None };
     }
     span_slow(name, key)
@@ -316,22 +335,18 @@ pub fn span(name: &'static str, key: u64) -> Span {
 
 #[cold]
 fn span_slow(name: &'static str, key: u64) -> Span {
-    let epoch = EPOCH.load(Ordering::Acquire);
-    if epoch == 0 {
-        return Span { data: None };
-    }
     TLS.with(|t| {
         let mut tls = t.borrow_mut();
-        if !ensure_registered(&mut tls, epoch) {
+        let Some(ring) = tls.ring() else {
             return Span { data: None };
-        }
+        };
         let depth = tls.depth - tls.base;
         tls.depth += 1;
         Span {
             data: Some(SpanData {
                 name,
                 key,
-                epoch,
+                ring,
                 depth,
                 start: Instant::now(),
                 virtual_ms: 0,
@@ -363,21 +378,15 @@ impl Drop for Span {
         let Some(d) = self.data.take() else { return };
         TLS.with(|t| {
             let mut tls = t.borrow_mut();
-            if tls.epoch != d.epoch {
-                return;
-            }
             tls.depth = tls.depth.saturating_sub(1);
-            let Some(ring) = tls.ring.clone() else { return };
-            let start_us = d.start.duration_since(tls.epoch_start).as_micros() as u64;
-            let dur_us = d.start.elapsed().as_micros() as u64;
-            ring.push(SpanRecord {
-                name: d.name,
-                key: d.key,
-                depth: d.depth,
-                start_us,
-                dur_us,
-                virtual_ms: d.virtual_ms,
-            });
+        });
+        d.ring.push(SpanRecord {
+            name: d.name,
+            key: d.key,
+            depth: d.depth,
+            start_us: d.start.duration_since(d.ring.origin).as_micros() as u64,
+            dur_us: d.start.elapsed().as_micros() as u64,
+            virtual_ms: d.virtual_ms,
         });
     }
 }
@@ -386,7 +395,7 @@ impl Drop for Span {
 /// cooldown) as a zero-wall-duration child span of the open span.
 #[inline]
 pub fn virtual_wait(name: &'static str, key: u64, virtual_ms: u64) {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
     virtual_wait_slow(name, key, virtual_ms);
@@ -394,64 +403,89 @@ pub fn virtual_wait(name: &'static str, key: u64, virtual_ms: u64) {
 
 #[cold]
 fn virtual_wait_slow(name: &'static str, key: u64, virtual_ms: u64) {
-    let epoch = EPOCH.load(Ordering::Acquire);
-    if epoch == 0 {
-        return;
-    }
     TLS.with(|t| {
         let mut tls = t.borrow_mut();
-        if !ensure_registered(&mut tls, epoch) {
-            return;
-        }
-        let depth = tls.depth - tls.base;
-        let start_us = tls.epoch_start.elapsed().as_micros() as u64;
-        let Some(ring) = tls.ring.clone() else { return };
+        let Some(ring) = tls.ring() else { return };
         ring.push(SpanRecord {
             name,
             key,
-            depth,
-            start_us,
+            depth: tls.depth - tls.base,
+            start_us: ring.origin.elapsed().as_micros() as u64,
             dur_us: 0,
             virtual_ms,
         });
     });
 }
 
-/// Depth fence for one work-stealing task: spans opened inside record
-/// their depth relative to the fence, so a task inlined on a thread with
-/// an open orchestration span nests identically to one on a fresh pool
-/// worker. Inert when tracing is off.
-#[must_use = "the fence restores depth bookkeeping when dropped"]
-pub struct TaskFence {
-    saved: Option<(u64, u32)>,
+/// A captured trace context: the session the capturing thread records
+/// into, or none. Capture it once per spawner and run each task under
+/// [`Context::fence`].
+#[derive(Default)]
+pub struct Context {
+    session: Option<Arc<Session>>,
 }
 
-/// Open a depth fence for the current task.
+/// Capture the calling thread's trace context. One relaxed atomic load
+/// and an empty context when no session is live.
 #[inline]
-pub fn task_fence() -> TaskFence {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return TaskFence { saved: None };
+pub fn context() -> Context {
+    if LIVE.load(Ordering::Relaxed) == 0 {
+        return Context::default();
     }
-    TLS.with(|t| {
-        let mut tls = t.borrow_mut();
-        let saved = (tls.epoch, tls.base);
-        tls.base = tls.depth;
-        TaskFence { saved: Some(saved) }
-    })
+    Context {
+        session: TLS.with(|t| t.borrow().session.clone()),
+    }
 }
 
-impl Drop for TaskFence {
+impl Context {
+    /// Run one task in this context: until the fence drops, the thread
+    /// records into the captured session (or nowhere, if it captured
+    /// none), at depths relative to the fence — so a task inlined on a
+    /// thread with an open orchestration span nests identically to one
+    /// on a fresh pool worker. Inert when no session is live.
+    #[inline]
+    pub fn fence(&self) -> Fence {
+        if self.session.is_none() && LIVE.load(Ordering::Relaxed) == 0 {
+            return Fence {
+                saved: None,
+                _thread: PhantomData,
+            };
+        }
+        Fence::enter(self.session.clone())
+    }
+}
+
+/// Guard of one task's trace context; restores the thread's previous
+/// context and depth baseline on drop, so it stays on its thread.
+#[must_use = "the fence restores the thread's trace context when dropped"]
+pub struct Fence {
+    saved: Option<(Option<Arc<Session>>, u32)>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Fence {
+    fn enter(session: Option<Arc<Session>>) -> Fence {
+        TLS.with(|t| {
+            let mut tls = t.borrow_mut();
+            let saved = (std::mem::replace(&mut tls.session, session), tls.base);
+            tls.base = tls.depth;
+            Fence {
+                saved: Some(saved),
+                _thread: PhantomData,
+            }
+        })
+    }
+}
+
+impl Drop for Fence {
     fn drop(&mut self) {
-        let Some((epoch, base)) = self.saved.take() else {
+        let Some((session, base)) = self.saved.take() else {
             return;
         };
         TLS.with(|t| {
             let mut tls = t.borrow_mut();
-            // Registration inside the fence resets bookkeeping on epoch
-            // change; only restore if the fence's epoch is still live.
-            if tls.epoch == epoch {
-                tls.base = base;
-            }
+            tls.session = session;
+            tls.base = base;
         });
     }
 }
@@ -505,14 +539,6 @@ pub struct StageSummary {
 }
 
 impl TraceReport {
-    fn empty() -> TraceReport {
-        TraceReport {
-            workers: Vec::new(),
-            dropped_spans: 0,
-            capacity_per_worker: 0,
-        }
-    }
-
     /// Total recorded spans.
     pub fn span_count(&self) -> u64 {
         self.workers.iter().map(|w| w.spans.len() as u64).sum()
@@ -641,7 +667,7 @@ impl TraceReport {
     pub fn encode_metrics(&self, enc: &mut crate::registry::Encoder) {
         enc.counter(
             "langcrux_trace_spans_total",
-            "Spans recorded by the last trace session.",
+            "Spans recorded by this trace session.",
             self.span_count() as f64,
         );
         enc.counter(
@@ -651,7 +677,7 @@ impl TraceReport {
         );
         enc.gauge(
             "langcrux_trace_workers",
-            "Worker rings registered during the last trace session.",
+            "Worker rings registered during this trace session.",
             self.workers.len() as f64,
         );
         for row in self.summary() {
@@ -717,7 +743,7 @@ mod tests {
         let session = start(TraceConfig::default());
         {
             let _orchestrator = span("test.orchestrator", 0);
-            let _fence = task_fence();
+            let _fence = context().fence();
             let _task = span("test.task", 9);
         }
         let report = session.finish();
@@ -744,23 +770,60 @@ mod tests {
     #[test]
     fn cross_thread_spans_merge_into_one_report() {
         let session = start(TraceConfig::default());
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let _fence = task_fence();
+        let ctx = context();
+        std::thread::scope(|scope| {
+            for i in 0..3 {
+                let ctx = &ctx;
+                scope.spawn(move || {
+                    let _fence = ctx.fence();
                     let _s = span("test.thread", i);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+            // A thread that never enters the context records nothing and
+            // registers no ring, though the session is live.
+            scope.spawn(|| {
+                assert!(!enabled());
+                let _s = span("test.outside", 7);
+                virtual_wait("test.outside_wait", 7, 1);
+            });
+        });
         let _main = span("test.main", 99);
         drop(_main);
         let report = session.finish();
         assert_eq!(report.span_count(), 4);
-        assert!(report.workers.len() >= 2);
+        assert_eq!(report.workers.len(), 4);
         assert_eq!(report.stage_names(), vec!["test.main", "test.thread"]);
+    }
+
+    #[test]
+    fn two_sessions_on_two_threads_record_only_their_own_spans() {
+        let names = ["test.left", "test.right"];
+        let both_live = std::sync::Barrier::new(names.len());
+        let reports: Vec<TraceReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = names
+                .iter()
+                .map(|&name| {
+                    let both_live = &both_live;
+                    scope.spawn(move || {
+                        let session = start(TraceConfig::default());
+                        // Both sessions are live from here to the second
+                        // wait: neither `start` may block on the other.
+                        both_live.wait();
+                        for key in 0..3 {
+                            let _s = span(name, key);
+                        }
+                        both_live.wait();
+                        session.finish()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (report, name) in reports.iter().zip(names) {
+            assert_eq!(report.stage_names(), vec![name]);
+            assert_eq!(report.span_count(), 3);
+            assert_eq!(report.workers.len(), 1);
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! non-decreasing timestamps per tid — what `chrome://tracing` and
 //! Perfetto require to load a file), span *structure* is deterministic
 //! (same seed → same names/nesting/counts/virtual durations, at every
-//! worker count), and instrumentation never changes the science: the
-//! dataset and crawl-ledger bytes are identical with tracing on and off.
+//! worker count, and untouched by untraced work running beside it), and
+//! instrumentation never changes the science: the dataset and
+//! crawl-ledger bytes are identical with tracing on and off.
 //! Ring overflow must be accounted, never silent.
 
 use langcrux::core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
@@ -14,6 +15,7 @@ use langcrux::obs::chrome;
 use langcrux::obs::trace::{self, TraceConfig, TraceReport};
 use langcrux::webgen::{Corpus, CorpusConfig};
 use serde_json::Value;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const QUOTA: usize = 10;
 
@@ -141,6 +143,31 @@ fn span_structure_deterministic_across_worker_counts_and_runs() {
         reference,
         traced_build(24, 1).structure_digest(),
         "digest is insensitive to the seed"
+    );
+}
+
+#[test]
+fn untraced_build_beside_traced_build_leaves_report_unchanged() {
+    let solo = traced_build(23, 2).structure_digest();
+    // A second thread keeps building its own corpus, untraced, for the
+    // whole traced build: a session records only its own work.
+    let traced_done = AtomicBool::new(false);
+    let beside = std::thread::scope(|scope| {
+        scope.spawn(|| loop {
+            let corpus = Corpus::build(CorpusConfig::small(23, QUOTA));
+            build_dataset(&corpus, options(1));
+            if traced_done.load(Ordering::Acquire) {
+                break;
+            }
+        });
+        let report = traced_build(23, 2);
+        traced_done.store(true, Ordering::Release);
+        report
+    });
+    assert_eq!(
+        solo,
+        beside.structure_digest(),
+        "an untraced build leaked into the traced report"
     );
 }
 
