@@ -1,5 +1,5 @@
-//! Ablation benches (DESIGN.md A1–A3): VPN vantage, language-id method,
-//! and crawl worker scaling.
+//! Ablation benches (A1–A3 in `langcrux_bench`): VPN vantage, language-id
+//! method, and crawl worker scaling.
 //!
 //! Run with `cargo bench -p langcrux-bench --bench ablations`.
 

@@ -96,7 +96,7 @@
 //! The harness builds the synthetic corpus, runs the full LangCrUX
 //! pipeline, and prints the paper-format rows/series. Absolute values are
 //! corpus-scale dependent; the *shapes* (orderings, crossovers, drops)
-//! reproduce the paper — see EXPERIMENTS.md for paper-vs-measured.
+//! reproduce the paper — `tests/paper_shapes.rs` asserts them.
 
 use langcrux_bench::{langid_ablation, vpn_ablation, Scale};
 use langcrux_core::{analysis, render, selection, Dataset};
@@ -785,23 +785,9 @@ fn main() {
         let ledger_json = ledger.to_json().expect("serialize crawl ledger");
         std::fs::write("crawl-ledger.json", ledger_json + "\n").expect("write crawl-ledger.json");
         eprintln!("wrote crawl-ledger.json");
-        // The lazy-shard gauges: peak_live bounds corpus memory at
-        // peak_live × per-country shard size (builds > countries means
-        // shards were revived after LRU eviction; peak_resident is the
-        // cache high-water mark, ≤ the cap).
+        // Each country's shard is built once, so builds ≤ countries.
         let shards = corpus.shard_stats();
-        eprintln!(
-            "corpus shards: {} built, {} evicted, peak resident {}, peak live {} (cap {})",
-            shards.builds,
-            shards.evictions,
-            shards.peak_resident,
-            shards.peak_live,
-            if shards.resident_cap == 0 {
-                "unbounded".to_string()
-            } else {
-                shards.resident_cap.to_string()
-            }
-        );
+        eprintln!("corpus shards: {} built", shards.builds);
         if let Some(trace) = &trace_report {
             if args.trace_summary {
                 eprint!("{}", trace.summary_table());

@@ -3,7 +3,7 @@
 //! The reproduction harness: shared workload builders used by the `repro`
 //! binary (which prints every table and figure of the paper) and by the
 //! Criterion benches (one per artefact plus component microbenches and the
-//! three ablations from DESIGN.md).
+//! three ablations in `benches/ablations.rs`).
 //!
 //! ## Performance tracking
 //!
@@ -20,8 +20,8 @@
 //!   after `--bench-json` to redirect the output), per-page render and
 //!   per-visit extraction costs, and the resilience, tracing and
 //!   distributed-coordinator records. Numbers depend on the host; the
-//!   JSON records `available_cores` so the work-stealing parallel share
-//!   can be told apart.
+//!   JSON records `available_cores` so the parallel share of the build
+//!   engine's dispatcher threads can be told apart.
 //! * `cargo bench -p langcrux-bench --bench pipeline_hot_path` runs the
 //!   per-layer microbenches (fused extraction vs re-scan, streaming
 //!   tokenize→extract vs DOM materialisation per visit (`stream_vs_dom`),
@@ -37,7 +37,6 @@ pub mod serve_bench;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
 use langcrux_crawl::BrowserConfig;
-use langcrux_lang::rng::DEFAULT_SEED;
 use langcrux_lang::{Country, Language};
 use langcrux_langid::{detect, TrigramDetector};
 use langcrux_net::{vpn_vantage, ContentVariant, FaultPlan, Request, Url, Vantage};
@@ -105,14 +104,7 @@ pub fn fault_plan_preset(name: &str) -> Option<FaultPlan> {
 
 /// Build the full dataset (corpus + pipeline) at a given scale.
 pub fn build_scaled_dataset(seed: u64, scale: Scale) -> Dataset {
-    build_scaled_dataset_with_corpus(seed, scale).1
-}
-
-/// [`build_scaled_dataset`], also handing back the corpus so callers can
-/// inspect its lazy-shard gauges (`Corpus::shard_stats`) after the run.
-pub fn build_scaled_dataset_with_corpus(seed: u64, scale: Scale) -> (Corpus, Dataset) {
-    let (corpus, dataset, _) = build_scaled_dataset_with_plan(seed, scale, FaultPlan::default());
-    (corpus, dataset)
+    build_scaled_dataset_with_plan(seed, scale, FaultPlan::default()).1
 }
 
 /// Build corpus + dataset under an explicit fault plan, returning the
@@ -144,11 +136,6 @@ pub fn build_scaled_dataset_with_gaps(
         },
     );
     (corpus, dataset, ledger)
-}
-
-/// Build with the workspace default seed.
-pub fn default_dataset(scale: Scale) -> Dataset {
-    build_scaled_dataset(DEFAULT_SEED, scale)
 }
 
 /// A1 — the VPN-vantage ablation: crawl the same hosts from the in-country

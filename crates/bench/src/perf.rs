@@ -26,7 +26,8 @@ use std::time::Instant;
 pub struct ScaleTiming {
     pub scale: String,
     pub sites_per_country: usize,
-    /// Fused single-pass engine with the work-stealing pool, milliseconds.
+    /// Fused single-pass engine, one dispatcher thread per core,
+    /// milliseconds.
     pub fused_ms: f64,
     /// Records produced.
     pub records: usize,
@@ -55,7 +56,7 @@ pub struct PipelineBenchReport {
     pub available_cores: usize,
     pub timings: Vec<ScaleTiming>,
     /// Fused-pipeline wall-clock per worker count at the first scale
-    /// (empty on single-core hosts, where the pool cannot contribute).
+    /// (empty on single-core hosts, where extra workers cannot contribute).
     pub worker_scaling: Vec<WorkerTiming>,
     /// Per-visit extraction: streaming tokenize→extract vs DOM
     /// materialisation (the PR-3 crawl-path win, isolated).
@@ -585,14 +586,14 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
         observability: observability_timing(seed, scales.first().copied().unwrap_or(Scale::Quick)),
         distributed: distributed_timing(seed, scales.first().copied().unwrap_or(Scale::Quick)),
         notes: format!(
-            "fused = single-pass engine on the work-stealing pool, with the crawl path's \
+            "fused = single-pass engine with one build dispatcher per core, with the crawl path's \
              per-visit extraction running the streaming tokenize→extract pass (no token \
              buffer, no DOM node arena — stream_vs_dom isolates that per-visit win \
              against the parse-then-walk oracle on the same pages) and page generation \
-             running the pooled zero-alloc render arena over lazily sharded corpora \
+             running the pooled zero-alloc render arena over build-once corpus shards \
              (render times that arena per page; the sample's bytes are pinned by \
              committed digests in crates/webgen/tests/render_digest.rs). With \
-             available_parallelism() = {cores} on this host the pool contributes \
+             available_parallelism() = {cores} on this host extra workers contribute \
              {par}; worker_scaling records the fused pipeline per worker count on \
              multi-core hosts, isolating that parallel share. resilience records the \
              resilient crawl engine's fault-free tax (ledger-folding RELIABLE build vs \

@@ -98,9 +98,6 @@ pub struct WireBuildConfig {
     pub sites_per_country: usize,
     pub countries: Vec<Country>,
     pub overprovision: f64,
-    /// Worker-side shard residency cap (the coordinator's own cap is not
-    /// shipped: workers touching a handful of countries need less).
-    pub resident_shards: usize,
     pub gap_scenarios: bool,
     pub fault_plan: FaultPlan,
     pub browser: BrowserConfig,
@@ -115,7 +112,6 @@ impl WireBuildConfig {
             sites_per_country: config.sites_per_country,
             countries: config.countries.clone(),
             overprovision: config.overprovision,
-            resident_shards: config.resident_shards,
             gap_scenarios: config.gap_scenarios,
             fault_plan: *corpus.internet().fault_plan(),
             browser,
@@ -129,7 +125,6 @@ impl WireBuildConfig {
             sites_per_country: self.sites_per_country,
             countries: self.countries.clone(),
             overprovision: self.overprovision,
-            resident_shards: self.resident_shards,
             gap_scenarios: self.gap_scenarios,
             fault_plan: self.fault_plan,
         }

@@ -6,9 +6,10 @@
 //! general: [`run_work_stealing`] shards any indexed task list across
 //! `threads` workers, each owning a deque of task indices; an idle worker
 //! steals from the back of the longest remaining queue. Results are
-//! returned in task order regardless of scheduling, which is what lets the
-//! pipeline in `langcrux-core` keep its deterministic study-order merge
-//! while sharding (country, candidate-chunk) units across every core.
+//! returned in task order regardless of scheduling, so [`crawl_hosts`]
+//! and the serve crate's batch audits answer in input order at every
+//! worker count. The dataset build does not run here: the build engine
+//! in `langcrux-core` dispatches its work units on its own threads.
 
 use crate::browser::{Browser, BrowserConfig, Visit, VisitError};
 use langcrux_net::{Internet, Url, Vantage};

@@ -28,15 +28,12 @@
 //! # Determinism contract
 //!
 //! Wall-clock fields (`start_us`, `dur_us`) vary run to run, and which
-//! worker recorded a span depends on work-stealing. Everything else is
-//! deterministic: span *names*, *keys*, *counts*, fence-relative
-//! *depths*, and *virtual-clock durations* are pure functions of
-//! `(seed, fault plan, scale)` — the canonical view is
+//! worker recorded a span depends on which dispatcher thread picked up
+//! the work unit. Everything else is deterministic: span *names*, *keys*,
+//! *counts*, fence-relative *depths*, and *virtual-clock durations* are
+//! pure functions of `(seed, fault plan, scale)` — the canonical view is
 //! [`TraceReport::structure_digest`], which is byte-identical across
 //! worker counts and repeat runs (tested in `tests/trace_export.rs`).
-//! The one exception: `corpus.shard_build` span counts are deterministic
-//! only with an unbounded shard cache (`resident_shards: 0`); under an
-//! LRU cap, rebuild counts depend on eviction interleaving.
 //!
 //! # Carrying the context to workers
 //!
@@ -739,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn task_fence_resets_depth_baseline() {
+    fn fence_resets_depth_baseline() {
         let session = start(TraceConfig::default());
         {
             let _orchestrator = span("test.orchestrator", 0);

@@ -11,24 +11,20 @@
 //!
 //! ## Lazy shards
 //!
-//! Since the zero-alloc generation PR the corpus no longer materialises
-//! anything up front. Candidates live in **per-country shards** built on
-//! first touch (a crawl worker asking for the candidate list) and bounded
-//! by an LRU residency cap ([`CorpusConfig::resident_shards`]), so
-//! corpora larger than memory stream through a crawl: an evicted shard is
-//! rebuilt on demand, bit-identical, because shard contents are a pure
-//! function of `(corpus seed, country)`. The *fetch* path never touches
-//! the cache at all — the host resolver re-derives a site's plan straight
-//! from its hostname (see `CorpusResolver::plan_for`). Residency is
-//! therefore only a cache — site plans, fetch outcomes and
-//! `Dataset::to_json` bytes are unchanged at every worker count and every
-//! cap (tested). [`Corpus::shard_stats`] exposes the
-//! builds/evictions/residency gauges (`peak_live` is the true
-//! corpus-memory high-water mark).
+//! The corpus materialises nothing up front. Each country's candidate
+//! list is a **shard** built by the first [`Corpus::candidates`] call for
+//! that country and kept for the corpus's lifetime, so a shard is built
+//! at most once. Shard contents are a pure function of
+//! `(corpus seed, country)`, so neither the order nor the thread of the
+//! first touch can change a site plan, a fetch outcome or a
+//! `Dataset::to_json` byte. The *fetch* path never touches the shards at
+//! all — the host resolver re-derives a site's plan straight from its
+//! hostname (see `CorpusResolver::plan_for`). [`Corpus::shard_stats`]
+//! counts the builds.
 //!
 //! Page rendering inside the resolver runs through a shared
 //! [`ScratchPool`] of render arenas, so steady-state crawling allocates
-//! neither corpus memory (beyond resident shards) nor render scratch.
+//! neither corpus memory (beyond the built shards) nor render scratch.
 
 use crate::calibration::rank_quantile;
 use crate::page::{render, render_into, PageTruth, ScratchPool};
@@ -36,10 +32,8 @@ use crate::site::SitePlan;
 use langcrux_lang::{rng, Country};
 use langcrux_net::{ContentVariant, FaultPlan, HostResolver, Internet, ResolvedHost};
 use serde::Serialize;
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Corpus construction parameters.
 #[derive(Debug, Clone)]
@@ -56,11 +50,6 @@ pub struct CorpusConfig {
     /// Candidate overprovisioning factor (>1): extra lower-ranked sites
     /// available as replacements for threshold/fetch failures.
     pub overprovision: f64,
-    /// Maximum country shards resident in memory at once (LRU-evicted
-    /// beyond this); `0` means unbounded. Contents are seed-derived, so a
-    /// small cap trades rebuild CPU for memory without changing any
-    /// output byte.
-    pub resident_shards: usize,
     /// Plant partial-localisation (translation-gap) scenarios: untranslated
     /// chrome, mistagged `lang` subtrees, unmarked English fallback blocks.
     /// Default `false`, under which the corpus is byte-identical to one
@@ -77,7 +66,6 @@ impl Default for CorpusConfig {
             countries: Country::STUDY.to_vec(),
             fault_plan: FaultPlan::default(),
             overprovision: 1.5,
-            resident_shards: 0,
             gap_scenarios: false,
         }
     }
@@ -97,288 +85,10 @@ impl CorpusConfig {
     fn candidates_per_country(&self) -> usize {
         ((self.sites_per_country as f64) * self.overprovision).ceil() as usize
     }
-}
 
-/// One country's materialised candidate list.
-struct CountryShard {
-    /// Rank-ordered plans (best rank first).
-    plans: Vec<SitePlan>,
-    /// Live-allocation gauge, decremented when the last `Arc` to this
-    /// shard drops (`None` for the static empty shard).
-    gauge: Option<Arc<LiveShardGauge>>,
-}
-
-impl Drop for CountryShard {
-    fn drop(&mut self) {
-        if let Some(gauge) = &self.gauge {
-            gauge.live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Rank-ordered candidate plans for one country, leased from the shard
-/// cache. Derefs to `[SitePlan]`; holding it pins the shard contents (but
-/// not its cache residency — an evicted shard simply rebuilds for the
-/// next caller).
-pub struct CandidateSet {
-    shard: Arc<CountryShard>,
-}
-
-impl Deref for CandidateSet {
-    type Target = [SitePlan];
-
-    fn deref(&self) -> &[SitePlan] {
-        &self.shard.plans
-    }
-}
-
-/// Residency state of one country slot.
-enum Slot {
-    /// Another thread is building the shard; wait on the condvar.
-    Building,
-    Ready {
-        shard: Arc<CountryShard>,
-        /// LRU tick of the most recent access.
-        last_used: u64,
-    },
-}
-
-struct ShardMap {
-    slots: HashMap<Country, Slot>,
-    tick: u64,
-}
-
-/// Observability counters for the lazy-shard cache (see
-/// [`Corpus::shard_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ShardStats {
-    /// Shard constructions, including rebuilds after eviction.
-    pub builds: u64,
-    /// Shards dropped by the LRU bound.
-    pub evictions: u64,
-    /// High-water mark of simultaneously *cache-resident* shards (the
-    /// LRU gauge; never exceeds `resident_cap` when bounded).
-    pub peak_resident: usize,
-    /// Shards resident in the cache right now.
-    pub resident: usize,
-    /// High-water mark of shard allocations simultaneously **alive** —
-    /// the true corpus-memory gauge: peak corpus memory ≈
-    /// `peak_live` × the per-country shard size. Counts every shard the
-    /// process holds, including evicted ones kept alive by outstanding
-    /// [`CandidateSet`] leases or in-flight renders, so it can exceed
-    /// `peak_resident` by up to a couple of shards per concurrent
-    /// worker (a lease plus a revived rebuild).
-    pub peak_live: usize,
-    /// Shard allocations alive right now.
-    pub live: usize,
-    /// The configured bound (0 = unbounded).
-    pub resident_cap: usize,
-}
-
-impl ShardStats {
-    /// Register the shard gauges into the unified metrics registry
-    /// (`langcrux_corpus_*` family — see `docs/observability.md`).
-    pub fn encode_metrics(&self, enc: &mut langcrux_obs::Encoder) {
-        enc.counter(
-            "langcrux_corpus_shard_builds_total",
-            "Country-shard constructions, including rebuilds after eviction.",
-            self.builds as f64,
-        );
-        enc.counter(
-            "langcrux_corpus_shard_evictions_total",
-            "Country shards dropped by the LRU bound.",
-            self.evictions as f64,
-        );
-        enc.gauge(
-            "langcrux_corpus_shards_resident",
-            "Country shards resident in the cache right now.",
-            self.resident as f64,
-        );
-        enc.gauge(
-            "langcrux_corpus_shards_resident_peak",
-            "High-water mark of cache-resident country shards.",
-            self.peak_resident as f64,
-        );
-        enc.gauge(
-            "langcrux_corpus_shards_live",
-            "Country-shard allocations alive right now (leases included).",
-            self.live as f64,
-        );
-        enc.gauge(
-            "langcrux_corpus_shards_live_peak",
-            "High-water mark of simultaneously live shard allocations.",
-            self.peak_live as f64,
-        );
-        enc.gauge(
-            "langcrux_corpus_shard_resident_cap",
-            "Configured residency bound (0 = unbounded).",
-            self.resident_cap as f64,
-        );
-    }
-}
-
-/// The lazy per-country shard cache. Shared between the [`Corpus`] handle
-/// and the internet's host resolver.
-struct ShardCache {
-    seed: u64,
-    sites_per_country: usize,
-    overprovision: f64,
-    countries: Vec<Country>,
-    resident_cap: usize,
-    gap_scenarios: bool,
-    map: Mutex<ShardMap>,
-    built: Condvar,
-    builds: AtomicU64,
-    evictions: AtomicU64,
-    peak_resident: AtomicUsize,
-    /// Shard allocations alive (incremented on build, decremented by
-    /// `CountryShard::drop` when the last `Arc` goes away).
-    live: Arc<LiveShardGauge>,
-}
-
-/// Exact live-allocation accounting for [`ShardStats::peak_live`].
-#[derive(Debug, Default)]
-struct LiveShardGauge {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl ShardCache {
-    fn new(config: &CorpusConfig) -> Self {
-        ShardCache {
-            seed: config.seed,
-            sites_per_country: config.sites_per_country,
-            overprovision: config.overprovision,
-            countries: config.countries.clone(),
-            resident_cap: config.resident_shards,
-            gap_scenarios: config.gap_scenarios,
-            map: Mutex::new(ShardMap {
-                slots: HashMap::new(),
-                tick: 0,
-            }),
-            built: Condvar::new(),
-            builds: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            peak_resident: AtomicUsize::new(0),
-            live: Arc::new(LiveShardGauge::default()),
-        }
-    }
-
-    fn candidates_per_country(&self) -> usize {
-        ((self.sites_per_country as f64) * self.overprovision).ceil() as usize
-    }
-
-    /// Get (building or reviving if needed) the shard for `country`.
-    fn shard(&self, country: Country) -> Arc<CountryShard> {
-        let mut map = self.map.lock().expect("shard map");
-        loop {
-            map.tick += 1;
-            let tick = map.tick;
-            match map.slots.get_mut(&country) {
-                Some(Slot::Ready { shard, last_used }) => {
-                    *last_used = tick;
-                    return Arc::clone(shard);
-                }
-                Some(Slot::Building) => {
-                    // Another thread is building this shard; park until it
-                    // publishes, then re-check from scratch.
-                    map = self.built.wait(map).expect("shard condvar");
-                }
-                None => break,
-            }
-        }
-
-        // This thread builds. Mark the slot so concurrent requesters park
-        // on the condvar instead of duplicating the work.
-        map.slots.insert(country, Slot::Building);
-        drop(map);
-
-        // If the build panics, clear the Building marker and wake the
-        // waiters (they will retry and one of them becomes the builder) —
-        // otherwise a panicking builder would park every other worker
-        // asking for this country forever.
-        struct BuildGuard<'a> {
-            cache: &'a ShardCache,
-            country: Country,
-            armed: bool,
-        }
-        impl Drop for BuildGuard<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    let mut map = self.cache.map.lock().expect("shard map");
-                    map.slots.remove(&self.country);
-                    drop(map);
-                    self.cache.built.notify_all();
-                }
-            }
-        }
-        let mut guard = BuildGuard {
-            cache: self,
-            country,
-            armed: true,
-        };
-
-        let shard = Arc::new(self.build_shard(country));
-        guard.armed = false;
-        self.builds.fetch_add(1, Ordering::Relaxed);
-
-        let mut map = self.map.lock().expect("shard map");
-        map.tick += 1;
-        let tick = map.tick;
-        map.slots.insert(
-            country,
-            Slot::Ready {
-                shard: Arc::clone(&shard),
-                last_used: tick,
-            },
-        );
-        self.enforce_cap(&mut map);
-        let resident = map
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready { .. }))
-            .count();
-        self.peak_resident.fetch_max(resident, Ordering::Relaxed);
-        drop(map);
-        self.built.notify_all();
-        shard
-    }
-
-    /// Evict least-recently-used Ready shards beyond the cap. The shard
-    /// just inserted carries the newest tick, so it survives unless it is
-    /// the only one and the cap is zero-but-unbounded (cap 0 = no bound).
-    fn enforce_cap(&self, map: &mut ShardMap) {
-        if self.resident_cap == 0 {
-            return;
-        }
-        loop {
-            let ready: Vec<(Country, u64)> = map
-                .slots
-                .iter()
-                .filter_map(|(c, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*c, *last_used)),
-                    Slot::Building => None,
-                })
-                .collect();
-            if ready.len() <= self.resident_cap {
-                return;
-            }
-            let (victim, _) = ready
-                .into_iter()
-                .min_by_key(|&(_, t)| t)
-                .expect("nonempty ready set");
-            map.slots.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Materialise one country's candidate list. Pure in
-    /// `(seed, country, sites_per_country, overprovision)` — rebuilds are
-    /// bit-identical, which is what makes eviction invisible downstream.
-    fn build_shard(&self, country: Country) -> CountryShard {
-        // Deterministic span count only with an unbounded cache
-        // (`resident_shards: 0`, the default): LRU rebuild counts depend
-        // on eviction interleaving — see langcrux_obs::trace docs.
+    /// Materialise one country's candidate list, best rank first. Pure in
+    /// `(seed, country, sites_per_country, overprovision, gap_scenarios)`.
+    fn build_shard(&self, country: Country) -> Vec<SitePlan> {
         let _shard_span = langcrux_obs::trace::span(
             "corpus.shard_build",
             langcrux_obs::trace::key_str(country.code()),
@@ -408,46 +118,52 @@ impl ShardCache {
         }
         // CrUX presents sites by rank: best (lowest) rank first.
         plans.sort_by(|a, b| (a.rank, a.host.as_str()).cmp(&(b.rank, b.host.as_str())));
-        let live = self.live.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.live.peak.fetch_max(live, Ordering::Relaxed);
-        CountryShard {
-            plans,
-            gauge: Some(Arc::clone(&self.live)),
-        }
+        plans
     }
+}
 
-    fn stats(&self) -> ShardStats {
-        let resident = {
-            let map = self.map.lock().expect("shard map");
-            map.slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count()
-        };
-        ShardStats {
-            builds: self.builds.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            peak_resident: self.peak_resident.load(Ordering::Relaxed),
-            resident,
-            peak_live: self.live.peak.load(Ordering::Relaxed),
-            live: self.live.live.load(Ordering::Relaxed),
-            resident_cap: self.resident_cap,
-        }
+/// Observability counters for the lazy shards (see
+/// [`Corpus::shard_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct ShardStats {
+    /// Shard constructions: one per country whose candidate list has been
+    /// requested, since a shard is built at most once per corpus.
+    pub builds: u64,
+    /// High-water mark of shards alive at once. Shards live as long as
+    /// the corpus, so this equals `builds`; peak corpus memory ≈
+    /// `peak_live` × the per-country shard size.
+    pub peak_live: usize,
+}
+
+impl ShardStats {
+    /// Register the shard gauges into the unified metrics registry
+    /// (`langcrux_corpus_*` family — see `docs/observability.md`).
+    pub fn encode_metrics(&self, enc: &mut langcrux_obs::Encoder) {
+        enc.counter(
+            "langcrux_corpus_shard_builds_total",
+            "Country-shard constructions (at most one per country).",
+            self.builds as f64,
+        );
+        enc.gauge(
+            "langcrux_corpus_shards_live_peak",
+            "High-water mark of simultaneously live shard allocations.",
+            self.peak_live as f64,
+        );
     }
 }
 
 /// The lazy host registry the corpus installs on its [`Internet`]: derives
-/// the country from the hostname's TLD, revives the country shard, and
+/// the country from the hostname's TLD, re-derives the site plan, and
 /// renders pages through the shared render-arena pool.
 struct CorpusResolver {
-    shards: Arc<ShardCache>,
+    config: CorpusConfig,
     scratch: ScratchPool,
 }
 
 impl CorpusResolver {
     fn country_of(&self, host: &str) -> Option<Country> {
         let tld = host.rsplit('.').next()?;
-        self.shards
+        self.config
             .countries
             .iter()
             .copied()
@@ -455,18 +171,16 @@ impl CorpusResolver {
     }
 
     /// Re-derive the site plan straight from the hostname, **without
-    /// touching the shard cache**: hostnames embed their construction
-    /// index (`{stem}-{index}.{tld}`), plans are pure in
+    /// touching the shards**: hostnames embed their construction index
+    /// (`{stem}-{index}.{tld}`), plans are pure in
     /// `(seed, country, index)`, and rendering never reads the
-    /// shard-assigned rank. This keeps the fetch path entirely off the
-    /// shard-map mutex — negative lookups (typo'd hosts, `knows`,
-    /// `host_count` overlap scans) cannot build, touch, or evict a
-    /// shard, and a fetch costs one cheap plan sample instead of a
-    /// cache round-trip: a fetch calls this twice (`resolve`, then
-    /// `serve_into`), so the second call is answered by a per-thread
-    /// one-entry memo keyed by `(seed, host)`. The stem check
-    /// (`plan.host == host`) rejects names whose archetype does not
-    /// match the sampled one.
+    /// shard-assigned rank. Negative lookups (typo'd hosts, `knows`,
+    /// `host_count` overlap scans) therefore cannot build a shard, and a
+    /// fetch costs one cheap plan sample: a fetch calls this twice
+    /// (`resolve`, then `serve_into`), so the second call is answered by
+    /// a per-thread one-entry memo (`LAST_PLAN`). The stem check
+    /// (`plan.host == host`) rejects names whose archetype does not match
+    /// the sampled one.
     fn plan_for(&self, host: &str) -> Option<SitePlan> {
         thread_local! {
             /// `(seed, candidate bound, gap flag, plan)` of the most
@@ -477,9 +191,9 @@ impl CorpusResolver {
             static LAST_PLAN: std::cell::RefCell<Option<(u64, usize, bool, SitePlan)>> =
                 const { std::cell::RefCell::new(None) };
         }
-        let seed = self.shards.seed;
-        let bound = self.shards.candidates_per_country();
-        let gaps = self.shards.gap_scenarios;
+        let seed = self.config.seed;
+        let bound = self.config.candidates_per_country();
+        let gaps = self.config.gap_scenarios;
         let memoized = LAST_PLAN.with(|memo| {
             memo.borrow()
                 .as_ref()
@@ -526,7 +240,7 @@ impl HostResolver for CorpusResolver {
     }
 
     fn host_count(&self) -> usize {
-        self.shards.candidates_per_country() * self.shards.countries.len()
+        self.config.candidates_per_country() * self.config.countries.len()
     }
 }
 
@@ -535,37 +249,29 @@ impl HostResolver for CorpusResolver {
 pub struct Corpus {
     config: CorpusConfig,
     internet: Internet,
-    shards: Arc<ShardCache>,
+    /// One candidate list per entry of `config.countries`, in the same
+    /// order, each built on first request and then kept.
+    shards: Vec<OnceLock<Vec<SitePlan>>>,
+    /// Shard constructions, counted inside the build closure so tests can
+    /// see a duplicate build that the slots alone would hide.
+    builds: AtomicU64,
 }
 
 impl Corpus {
     /// Build the corpus handle. O(1): no shard is materialised until a
-    /// candidate list is requested or one of its hosts is fetched.
+    /// candidate list is requested.
     pub fn build(config: CorpusConfig) -> Corpus {
-        let shards = Arc::new(ShardCache::new(&config));
         let mut internet = Internet::new(config.seed, config.fault_plan);
         internet.set_resolver(Box::new(CorpusResolver {
-            shards: Arc::clone(&shards),
+            config: config.clone(),
             scratch: ScratchPool::new(),
         }));
         Corpus {
+            shards: config.countries.iter().map(|_| OnceLock::new()).collect(),
             config,
             internet,
-            shards,
+            builds: AtomicU64::new(0),
         }
-    }
-
-    /// Build the corpus with every country shard materialised up front and
-    /// no residency bound — the pre-lazy behaviour. The candidate lists
-    /// and every served byte are identical to the lazy corpus (tested);
-    /// only the memory/latency profile differs.
-    pub fn build_eager(mut config: CorpusConfig) -> Corpus {
-        config.resident_shards = 0;
-        let corpus = Corpus::build(config);
-        for country in corpus.config.countries.clone() {
-            let _ = corpus.shards.shard(country);
-        }
-        corpus
     }
 
     /// The simulated internet serving this corpus.
@@ -578,16 +284,19 @@ impl Corpus {
         &self.config
     }
 
-    /// Rank-ordered candidate plans for a country (building or reviving
-    /// its shard on demand).
-    pub fn candidates(&self, country: Country) -> CandidateSet {
-        if !self.config.countries.contains(&country) {
-            static EMPTY: OnceShard = OnceShard::new();
-            return CandidateSet { shard: EMPTY.get() };
-        }
-        CandidateSet {
-            shard: self.shards.shard(country),
-        }
+    /// Rank-ordered candidate plans for a country, building its shard on
+    /// the first request. Concurrent first requests build it once; if
+    /// the build panics the shard stays unbuilt and the next request
+    /// retries. Empty for a country outside the corpus.
+    pub fn candidates(&self, country: Country) -> &[SitePlan] {
+        let Some(slot) = self.config.countries.iter().position(|&c| c == country) else {
+            return &[];
+        };
+        self.shards[slot].get_or_init(|| {
+            let plans = self.config.build_shard(country);
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            plans
+        })
     }
 
     /// Countries present in the corpus.
@@ -607,33 +316,14 @@ impl Corpus {
         self.config.candidates_per_country() * self.config.countries.len()
     }
 
-    /// Lazy-shard cache gauges: builds (including rebuilds after
-    /// eviction), evictions, and the peak/resident shard counts that bound
+    /// Lazy-shard gauges: how many shards have been built, which bounds
     /// corpus memory.
     pub fn shard_stats(&self) -> ShardStats {
-        self.shards.stats()
-    }
-}
-
-/// A lazily initialised empty shard for out-of-corpus countries.
-struct OnceShard {
-    cell: std::sync::OnceLock<Arc<CountryShard>>,
-}
-
-impl OnceShard {
-    const fn new() -> Self {
-        OnceShard {
-            cell: std::sync::OnceLock::new(),
+        let builds = self.builds.load(Ordering::Relaxed);
+        ShardStats {
+            builds,
+            peak_live: builds as usize,
         }
-    }
-
-    fn get(&self) -> Arc<CountryShard> {
-        Arc::clone(self.cell.get_or_init(|| {
-            Arc::new(CountryShard {
-                plans: Vec::new(),
-                gauge: None,
-            })
-        }))
     }
 }
 
@@ -674,105 +364,73 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matches_eager() {
-        let lazy = Corpus::build(CorpusConfig::small(77, 20));
-        let eager = Corpus::build_eager(CorpusConfig::small(77, 20));
-        assert_eq!(eager.shard_stats().builds, 12, "eager prefetches all");
-        for country in Country::STUDY {
-            let cl = lazy.candidates(country);
-            let ce = eager.candidates(country);
-            assert_eq!(cl.len(), ce.len());
-            for (a, b) in cl.iter().zip(ce.iter()) {
-                assert_eq!(a.host, b.host);
-                assert_eq!(a.rank, b.rank);
-                assert_eq!(a.seed, b.seed);
-            }
-        }
-    }
-
-    #[test]
-    fn shards_build_lazily_and_evict_by_lru() {
-        let corpus = Corpus::build(CorpusConfig {
-            resident_shards: 2,
-            ..CorpusConfig::small(5, 8)
-        });
+    fn shards_build_lazily_and_only_once() {
+        let corpus = Corpus::build(CorpusConfig::small(5, 8));
         assert_eq!(corpus.shard_stats().builds, 0, "no shard before first use");
-        let _ = corpus.candidates(Country::Japan);
+        let first = corpus.candidates(Country::Japan).as_ptr();
         let _ = corpus.candidates(Country::Thailand);
+        assert_eq!(corpus.shard_stats().builds, 2);
+        // A second touch returns the kept shard instead of rebuilding it.
+        assert_eq!(corpus.candidates(Country::Japan).as_ptr(), first);
         let stats = corpus.shard_stats();
         assert_eq!(stats.builds, 2);
-        assert_eq!(stats.resident, 2);
-        assert_eq!(stats.evictions, 0);
-        // A third country evicts the LRU (Japan) …
-        let _ = corpus.candidates(Country::Greece);
-        let stats = corpus.shard_stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.resident, 2);
-        assert_eq!(stats.peak_resident, 2, "cap respected at all times");
-        // … and touching Japan again rebuilds it bit-identically.
-        let eager = Corpus::build_eager(CorpusConfig::small(5, 8));
-        let revived = corpus.candidates(Country::Japan);
-        let expect = eager.candidates(Country::Japan);
-        assert_eq!(corpus.shard_stats().builds, 4);
-        for (a, b) in revived.iter().zip(expect.iter()) {
-            assert_eq!(a.host, b.host);
-            assert_eq!(a.rank, b.rank);
-        }
-        // Live-gauge accounting: the `revived` lease shares the resident
-        // Japan allocation (2 alive in total), and the build-then-evict
-        // transitions transiently held a third shard.
-        let stats = corpus.shard_stats();
-        assert_eq!(
-            stats.live, 2,
-            "leases to resident shards share the allocation"
-        );
-        assert!(stats.peak_live >= 3, "build+evict transient not recorded");
+        assert_eq!(stats.peak_live, 2);
     }
 
     #[test]
-    fn live_gauge_counts_leases_beyond_the_resident_cap() {
-        // A lease pins an evicted shard: the cache gauge stays at the
-        // cap while the live gauge shows the extra allocation — the
-        // honest corpus-memory number.
-        let corpus = Corpus::build(CorpusConfig {
-            resident_shards: 1,
-            ..CorpusConfig::small(9, 5)
+    fn concurrent_first_touches_build_one_shard() {
+        let corpus = Corpus::build(CorpusConfig::small(13, 10));
+        let start = std::sync::Barrier::new(8);
+        let seen: Vec<&[SitePlan]> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        corpus.candidates(Country::Greece)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let held = corpus.candidates(Country::Japan);
-        let _ = corpus.candidates(Country::Greece); // evicts Japan
-        let stats = corpus.shard_stats();
-        assert_eq!(stats.resident, 1);
-        assert_eq!(stats.peak_resident, 1);
-        assert_eq!(stats.live, 2, "evicted-but-leased shard stays alive");
-        assert_eq!(stats.peak_live, 2);
-        assert_eq!(held.len(), corpus.candidates(Country::Japan).len());
-        drop(held);
-        assert_eq!(corpus.shard_stats().live, 1);
+        assert_eq!(corpus.shard_stats().builds, 1);
+        for slice in &seen {
+            assert!(
+                std::ptr::eq(*slice, seen[0]),
+                "threads saw different shards"
+            );
+        }
+        assert_eq!(seen[0].len(), 15);
+    }
+
+    #[test]
+    fn out_of_corpus_country_has_no_candidates() {
+        let corpus = Corpus::build(CorpusConfig {
+            countries: vec![Country::Japan],
+            ..CorpusConfig::small(3, 4)
+        });
+        assert!(corpus.candidates(Country::Greece).is_empty());
+        assert_eq!(corpus.shard_stats().builds, 0);
     }
 
     #[test]
     fn fetches_bypass_the_shard_cache_and_serve_identical_bytes() {
         // The fetch path derives plans straight from the hostname, so
-        // serving bytes is independent of residency caps — and costs no
-        // shard materialisation at all.
-        let tight = Corpus::build(CorpusConfig {
-            resident_shards: 1,
-            ..CorpusConfig::small(31, 6)
-        });
-        let roomy = Corpus::build(CorpusConfig::small(31, 6));
+        // serving costs no shard materialisation at all, and the bytes
+        // match a corpus whose shards are built.
+        let fetched = Corpus::build(CorpusConfig::small(31, 6));
+        let listed = Corpus::build(CorpusConfig::small(31, 6));
         for country in [Country::Japan, Country::Greece, Country::Japan] {
             let vantage = vpn_vantage(country).unwrap();
-            let candidates = roomy.candidates(country);
-            for plan in candidates.iter().take(3) {
+            for plan in listed.candidates(country).iter().take(3) {
                 let req = Request::new(Url::from_host(&plan.host), vantage);
-                let a = tight.internet().fetch(&req).unwrap();
-                let b = roomy.internet().fetch(&req).unwrap();
+                let a = fetched.internet().fetch(&req).unwrap();
+                let b = listed.internet().fetch(&req).unwrap();
                 assert_eq!(a.variant, b.variant, "{}", plan.host);
                 assert_eq!(a.text(), b.text(), "{}", plan.host);
             }
         }
         assert_eq!(
-            tight.shard_stats().builds,
+            fetched.shard_stats().builds,
             0,
             "fetching must not build shards (plans re-derive from hostnames)"
         );

@@ -33,6 +33,6 @@ pub mod page;
 pub mod sample;
 pub mod site;
 
-pub use corpus::{CandidateSet, Corpus, CorpusConfig, ShardStats};
+pub use corpus::{Corpus, CorpusConfig, ShardStats};
 pub use page::{render, render_into, GapTruth, KindTruth, PageTruth, RenderScratch, ScratchPool};
 pub use site::{Archetype, GapPlan, LangBucket, PlantedText, SitePlan};

@@ -32,8 +32,6 @@ fn main() {
     //    replaced by the next-ranked candidate).
     let vantage = vpn_vantage(Country::Bangladesh).expect("VPN endpoint");
     let mut browser = Browser::new(corpus.internet(), BrowserConfig::default());
-    // The candidate shard is leased from the lazy corpus: binding it keeps
-    // the plans alive while we borrow the winning one.
     let candidates = corpus.candidates(Country::Bangladesh);
     let (plan, visit) = candidates
         .iter()

@@ -25,11 +25,11 @@
 //!
 //! `ARCHITECTURE.md` at the repository root maps the crate graph, the
 //! fused single-pass data flow (tokenizer → streaming extract → carried
-//! histogram → selection/Kizuki/audit), the work-stealing pool's
-//! determinism contract, and the serve cache design; `docs/benchmarks.md`
-//! documents every `BENCH_*.json` field and how the CI gates relate to
-//! the committed reference numbers. See `README.md` for a quickstart and
-//! `DESIGN.md` for the system inventory.
+//! histogram → selection/Kizuki/audit), the build engine's determinism
+//! contract, and the serve cache design; `docs/benchmarks.md` documents
+//! every `BENCH_*.json` field and how the CI gates relate to the
+//! committed reference numbers. `examples/quickstart.rs` walks one
+//! country's candidates end to end.
 
 pub use langcrux_audit as audit;
 pub use langcrux_core as core;

@@ -107,7 +107,7 @@ fn crawl_summaries_account_for_every_attempt() {
 
 #[test]
 fn facade_reexports_cover_the_pipeline() {
-    // The README quickstart path must exist through the facade crate.
+    // The quickstart example's path must exist through the facade crate.
     use langcrux::audit::audit_page;
     use langcrux::crawl::extract;
     use langcrux::html::parse;

@@ -3,8 +3,8 @@
 //! These tests build a quick-scale dataset through the *entire* pipeline
 //! (corpus → simulated network → VPN crawl → extraction → filtering →
 //! classification → audits) and assert the paper's qualitative findings —
-//! orderings, thresholds, crossovers — hold on the measured output. They
-//! are the executable version of EXPERIMENTS.md.
+//! orderings, thresholds, crossovers — hold on the measured output
+//! (`PAPER.md` has the paper's abstract).
 
 use langcrux::core::analysis;
 use langcrux::core::Dataset;

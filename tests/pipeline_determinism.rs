@@ -1,4 +1,4 @@
-//! Determinism of the work-stealing pipeline.
+//! Determinism of the build engine.
 //!
 //! The dataset is the paper's release artefact, so its bytes must not
 //! depend on scheduling: `Dataset::to_json` has to be identical across
@@ -32,6 +32,12 @@ fn dataset_json(corpus: &Corpus, quota: usize, threads: usize) -> String {
 fn to_json_identical_across_thread_counts_and_runs() {
     let corpus = Corpus::build(CorpusConfig::small(23, 15));
     let serial = dataset_json(&corpus, 15, 1);
+    let countries = corpus.countries().count() as u64;
+    assert_eq!(
+        corpus.shard_stats().builds,
+        countries,
+        "a full build touches every country's shard"
+    );
     // Repeat runs at the same thread count.
     assert_eq!(
         serial,
@@ -51,51 +57,11 @@ fn to_json_identical_across_thread_counts_and_runs() {
             "run-to-run drift at {threads} threads"
         );
     }
-}
-
-#[test]
-fn lazy_sharded_corpus_matches_eager_at_every_worker_count() {
-    // The tentpole invariant of the lazy-shard rewrite: a corpus with a
-    // tight LRU residency cap (shards evicted and rebuilt throughout the
-    // crawl) must produce byte-identical `Dataset::to_json` output to the
-    // fully materialised corpus, at 1, 2, 3 and one-per-core workers.
-    let eager = Corpus::build_eager(CorpusConfig::small(41, 12));
-    let expect = dataset_json(&eager, 12, 1);
-    let lazy = Corpus::build(CorpusConfig {
-        resident_shards: 2,
-        ..CorpusConfig::small(41, 12)
-    });
-    for threads in [1, 2, 3, 0] {
-        assert_eq!(
-            expect,
-            dataset_json(&lazy, 12, threads),
-            "lazy-shard corpus diverged from eager at {threads} workers"
-        );
-    }
-    // The cap was honoured while the whole study streamed through it …
-    let stats = lazy.shard_stats();
-    assert!(
-        stats.peak_resident <= 2,
-        "peak resident shards {} exceeded the cap",
-        stats.peak_resident
-    );
-    assert_eq!(stats.resident_cap, 2);
-    // … and true live memory stayed bounded by cap + in-flight work
-    // (each worker can pin at most a lease plus a revived rebuild), far
-    // below the 12 shards an eager corpus materialises.
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    assert!(
-        stats.peak_live <= 2 + 2 * workers.max(3),
-        "peak live shards {} not bounded by cap + in-flight work",
-        stats.peak_live
-    );
-    // … which forces evictions and revivals (12 countries through 2
-    // resident slots, four pipeline runs).
-    assert!(stats.evictions > 0, "cap=2 corpus never evicted");
-    assert!(
-        stats.builds > 12,
-        "no shard was ever revived (builds = {})",
-        stats.builds
+    // Builds at 1, 2, 3 and one-per-core workers reuse the shards.
+    assert_eq!(
+        corpus.shard_stats().builds,
+        countries,
+        "a shard was built more than once"
     );
 }
 
