@@ -13,7 +13,7 @@
 //! ARTIFACT: all (default) | table1 | table2 | table3 | table4 | table5
 //!         | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9
 //!         | headlines | selection | crawl
-//!         | ablation-vpn | ablation-langid | ablation-crawl
+//!         | ablation-vpn | ablation-langid
 //! ```
 //!
 //! `--bench-json` times the fused single-pass engine at `Scale::Quick` and
@@ -314,7 +314,7 @@ fn parse_args() -> Args {
                      [--dist-worker [PATH]]\n\
                      artifacts: all table1 table2 table3 table4 table5 fig2 fig3 fig4 \
                      fig5 fig6 fig7 fig8 fig9 headlines langmeta speech report selection crawl \
-                     ablation-vpn ablation-langid ablation-crawl"
+                     ablation-vpn ablation-langid"
                 );
                 std::process::exit(0);
             }
@@ -565,12 +565,7 @@ fn needs_dataset(artifacts: &[String]) -> bool {
     artifacts.iter().any(|a| {
         !matches!(
             a.as_str(),
-            "table1"
-                | "table3"
-                | "selection"
-                | "ablation-vpn"
-                | "ablation-langid"
-                | "ablation-crawl"
+            "table1" | "table3" | "selection" | "ablation-vpn" | "ablation-langid"
         )
     })
 }
@@ -972,14 +967,6 @@ fn main() {
             ab.labels, ab.unicode_accuracy_pct, ab.trigram_accuracy_pct
         );
     }
-    if wants("ablation-crawl") {
-        section("Ablation A3 — crawl worker scaling");
-        for threads in [1, 2, 4, 8] {
-            let elapsed = langcrux_bench::crawl_scaling(args.seed, 40, threads);
-            println!("  {threads:>2} workers: {elapsed:.2?}");
-        }
-    }
-
     // The unified observability outputs: one registry rendering for the
     // console (`--report`), the textfile snapshot (`--metrics-out`), and
     // the daemon's `/v1/metrics` (below) — all the same families.

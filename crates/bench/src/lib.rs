@@ -1,9 +1,8 @@
 //! # langcrux-bench
 //!
 //! The reproduction harness: shared workload builders used by the `repro`
-//! binary (which prints every table and figure of the paper) and by the
-//! Criterion benches (one per artefact plus component microbenches and the
-//! three ablations in `benches/ablations.rs`).
+//! binary, which prints every table and figure of the paper and the two
+//! study ablations ([`vpn_ablation`], [`langid_ablation`]).
 //!
 //! ## Performance tracking
 //!
@@ -22,11 +21,9 @@
 //!   distributed-coordinator records. Numbers depend on the host; the
 //!   JSON records `available_cores` so the parallel share of the build
 //!   engine's dispatcher threads can be told apart.
-//! * `cargo bench -p langcrux-bench --bench pipeline_hot_path` runs the
-//!   per-layer microbenches (fused extraction vs re-scan, streaming
-//!   tokenize→extract vs DOM materialisation per visit (`stream_vs_dom`),
-//!   table lookups, composition from the carried histogram, page render,
-//!   and the end-to-end pipeline).
+//! * Per-layer timing (µs per call for every stage, median and spread
+//!   over repeated runs) comes from the repository benchmark in
+//!   `perfbench/` (`python3 perfbench/run.py --workload build --trace 1`).
 //!
 //! Every field of both JSON artefacts, and how CI's gates map to the
 //! committed reference numbers, is documented in `docs/benchmarks.md`.
@@ -36,7 +33,6 @@ pub mod perf;
 pub mod serve_bench;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
-use langcrux_crawl::BrowserConfig;
 use langcrux_lang::{Country, Language};
 use langcrux_langid::{detect, TrigramDetector};
 use langcrux_net::{vpn_vantage, ContentVariant, FaultPlan, Request, Url, Vantage};
@@ -270,38 +266,6 @@ pub fn speech_experience(seed: u64, sites_per_country: usize) -> Vec<SpeechExper
         });
     }
     rows
-}
-
-/// A3 — crawl worker scaling: wall-clock for crawling a fixed host list
-/// with different worker counts (used by the Criterion ablation bench and
-/// printable from `repro`).
-pub fn crawl_scaling(seed: u64, hosts_per_country: usize, threads: usize) -> std::time::Duration {
-    use langcrux_crawl::{crawl_hosts, CrawlConfig};
-    let corpus = build_corpus(seed, Scale::Sites(hosts_per_country));
-    let hosts: Vec<String> = Country::STUDY
-        .iter()
-        .flat_map(|&c| {
-            corpus
-                .candidates(c)
-                .iter()
-                .take(hosts_per_country)
-                .map(|p| p.host.clone())
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let vantage = vpn_vantage(Country::Thailand).expect("endpoint");
-    let start = std::time::Instant::now();
-    let outcome = crawl_hosts(
-        corpus.internet(),
-        vantage,
-        &hosts,
-        CrawlConfig {
-            threads,
-            browser: BrowserConfig::default(),
-        },
-    );
-    assert!(outcome.stats.attempted as usize == hosts.len());
-    start.elapsed()
 }
 
 #[cfg(test)]

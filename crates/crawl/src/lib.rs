@@ -1,7 +1,7 @@
 //! # langcrux-crawl
 //!
 //! The crawling layer of the reproduction: a Puppeteer-equivalent page
-//! visitor (fetch → parse → extract) and a worker-pool crawler.
+//! visitor (fetch → parse → extract).
 //!
 //! The paper "develop\[s\] a web crawler using Puppeteer, which simulates web
 //! browsing conditions in a Chromium environment … capturing network-level
@@ -26,9 +26,9 @@
 //!   timed on the virtual clock.
 //! * [`clock`] — the deterministic [`VirtualClock`] all waiting is
 //!   counted against; nothing in the crawl layer ever sleeps.
-//! * [`pool`] — a shared work-stealing worker pool with deterministic,
-//!   scheduling-independent results; also the executor behind the
-//!   `langcrux-core` pipeline's `(country, chunk)` sharding.
+//! * [`pool`] — [`default_threads`], the worker count every parallel
+//!   caller falls back to. The crate has no executor: the build's units
+//!   run on `langcrux-core`'s coordinator.
 
 pub mod breaker;
 pub mod browser;
@@ -44,9 +44,6 @@ pub use clock::VirtualClock;
 pub use extract::{
     char_len, char_word_counts, extract, word_count, ExtractedElement, PageExtract, TextSource,
 };
-pub use pool::{
-    crawl_hosts, default_threads, run_work_stealing, run_work_stealing_with, CrawlConfig,
-    CrawlOutcome, CrawlStats,
-};
+pub use pool::default_threads;
 pub use regions::LangRegion;
 pub use stream::extract_streaming;

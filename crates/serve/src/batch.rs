@@ -1,8 +1,12 @@
-//! Bounded reorder machinery for the streaming `/v1/batch` path.
+//! Batch fan-out for `/v1/batch`: one in-order executor and the bounded
+//! reorder window the streaming writer drains.
 //!
-//! The batch endpoint fans pages out over the work-stealing pool and
-//! writes each element's JSON as soon as it (and everything before it)
-//! is done — element order preserved, no full-array buffering. Two
+//! [`ordered_map`] runs a batch's pages on scoped workers that claim the
+//! next index from one shared cursor, and hands back the results in page
+//! order. The buffered batch body uses it directly. The streamed body
+//! runs the same map with every unit feeding a [`StreamFanout`], and the
+//! writer emits each element's JSON as soon as it (and everything before
+//! it) is done — element order preserved, no full-array buffering. Two
 //! mechanisms keep memory at O(window × element) instead of O(batch):
 //!
 //! * **Lookahead window** — a worker must [`StreamFanout::admit`] unit
@@ -15,11 +19,14 @@
 //!   worker holding it is never parked, and every park is released when
 //!   the writer advances `next`.
 //!
-//! Why no worker can starve the head: deques hold ascending contiguous
-//! index blocks and steals take from the back, so if unit `next` is
-//! still queued it is at the *front* of its owner's deque — the owner
-//! picks it up next, and the owner itself cannot be parked on a
-//! farther-ahead unit (it would have had to pop `next` first).
+//! Why no worker can starve the head: units are claimed in index order,
+//! so the claimed units are exactly those below the cursor. If the head
+//! unit `next` is still unclaimed, no claimed unit lies beyond it, no
+//! worker is parked, and the next claim takes it. If it is claimed, its
+//! worker is admitted at once. The same order keeps the workers busy:
+//! the units they hold are the lowest unwritten ones, so with a window
+//! of twice the worker count a worker parks only when completed
+//! elements pile up faster than the writer drains them.
 //!
 //! The peak of buffered bytes is tracked and surfaced as the
 //! `peak_batch_buffer` gauge on `GET /v1/stats`, which is what the
@@ -44,7 +51,57 @@ struct FanState {
     poisoned: bool,
 }
 
-/// Reorder buffer between pool workers and the response writer.
+/// Run `f(i, &tasks[i])` for every task on `threads` scoped workers and
+/// return the results in task order, so callers see the same output at
+/// every worker count.
+///
+/// Each worker claims the next unclaimed index from one shared cursor,
+/// so tasks start in index order (the property [`StreamFanout`]'s window
+/// relies on). Every task runs under the caller's trace context behind a
+/// depth fence, so its spans land in the caller's session and nest the
+/// same way whether it runs inline (one worker) or on a scoped thread.
+/// A panicking task propagates to the caller once every worker stops.
+pub fn ordered_map<T, R, F>(threads: usize, tasks: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let trace = langcrux_obs::trace::context();
+    let run = |i: usize| {
+        let _fence = trace.fence();
+        f(i, &tasks[i])
+    };
+    let threads = threads.min(tasks.len());
+    if threads <= 1 {
+        return (0..tasks.len()).map(run).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks.len() {
+                            return done;
+                        }
+                        done.push((i, run(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("batch worker panicked"))
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Reorder buffer between batch workers and the response writer.
 pub struct StreamFanout {
     total: usize,
     window: usize,
@@ -129,7 +186,7 @@ impl StreamFanout {
 
     /// Writer bails (client closed mid-stream): release every parked
     /// worker permanently and discard any further completions so the
-    /// pool can drain without the writer consuming.
+    /// workers can drain without the writer consuming.
     pub fn abandon(&self) {
         let mut state = self.state.lock().expect("fanout lock");
         state.abandoned = true;
@@ -171,6 +228,82 @@ mod tests {
 
     fn bytes(len: usize) -> Arc<Vec<u8>> {
         Arc::new(vec![b'x'; len])
+    }
+
+    #[test]
+    fn ordered_map_returns_results_in_task_order() {
+        // (workers, tasks, rounds, slow head): order at several worker
+        // counts; a few heavy tasks at the front while the other workers
+        // drain the cursor; many rounds of near-free tasks racing on the
+        // cursor; empty and one-task input.
+        let cases = [
+            (1, 500, 1, false),
+            (2, 500, 1, false),
+            (7, 500, 1, false),
+            (8, 64, 1, true),
+            (8, 200, 50, false),
+            (4, 0, 1, false),
+            (8, 1, 1, false),
+        ];
+        for (threads, len, rounds, slow_head) in cases {
+            let tasks: Vec<u64> = (0..len).collect();
+            for round in 0..rounds {
+                let out = ordered_map(threads, &tasks, |i, t| {
+                    assert_eq!(i as u64, *t);
+                    if slow_head && *t < 4 {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    t * 3
+                });
+                let expected: Vec<u64> = tasks.iter().map(|t| t * 3).collect();
+                assert_eq!(
+                    out, expected,
+                    "{threads} workers, {len} tasks, round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_head_units_run_side_by_side() {
+        // 2 workers, window 4: units 0 and 1 are both admissible at the
+        // start, so both workers must be computing them at once. Each
+        // waits (at most 5 s, so a regression fails instead of hanging)
+        // for the other to arrive.
+        let total = 32;
+        let fan = StreamFanout::new(total, 4);
+        let arrived = Mutex::new(0usize);
+        let met = Condvar::new();
+        let meet = || {
+            let mut count = arrived.lock().unwrap();
+            *count += 1;
+            met.notify_all();
+            let (_count, wait) = met
+                .wait_timeout_while(count, std::time::Duration::from_secs(5), |n| *n < 2)
+                .unwrap();
+            !wait.timed_out()
+        };
+        let units: Vec<usize> = (0..total).collect();
+        let met_in_flight = std::thread::scope(|scope| {
+            let workers = scope.spawn(|| {
+                ordered_map(2, &units, |i, _| {
+                    fan.admit(i);
+                    let overlapped = i >= 2 || meet();
+                    fan.complete(i, bytes(1));
+                    overlapped
+                })
+            });
+            for _ in 0..total {
+                fan.next().expect("element");
+            }
+            workers.join().expect("workers")
+        });
+        assert!(fan.next().is_none());
+        assert_eq!(
+            met_in_flight,
+            vec![true; total],
+            "units 0 and 1 never overlapped"
+        );
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! * [`server`] — the connection engines behind a [`ServeCore`]
 //!   selection: the thread-per-connection oracle and (Linux) the epoll
 //!   reactor, both driving identical routing: `POST /v1/audit`,
-//!   `POST /v1/batch` (streamed as chunked encoding while the
-//!   work-stealing pool completes units), `GET /v1/healthz`,
+//!   `POST /v1/batch` (streamed as chunked encoding while the batch
+//!   workers complete units), `GET /v1/healthz`,
 //!   `GET /v1/stats` (JSON, or the Prometheus text exposition via
 //!   `Accept: text/plain`), `GET /v1/metrics` (always Prometheus).
 //! * `reactor` (Linux) — the event-driven core: non-blocking sockets on
@@ -35,8 +35,9 @@
 //! * [`fairness`] — per-peer token buckets (integer micro-token math on
 //!   a virtual clock): greedy peers collect `429 + Retry-After` while
 //!   quiet peers ride undisturbed.
-//! * [`batch`] — the bounded reorder window between pool workers and the
-//!   streaming batch writer (`peak_batch_buffer` gauge).
+//! * [`batch`] — the in-order batch executor and the bounded reorder
+//!   window between its workers and the streaming batch writer
+//!   (`peak_batch_buffer` gauge).
 //! * [`stats`] — request counters (incl. shed/timeout) and a lock-free
 //!   latency histogram (p50/p99) behind `GET /v1/stats`.
 //! * [`loadgen`] — loopback load generator used by `repro --serve-bench`

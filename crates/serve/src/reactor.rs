@@ -606,7 +606,6 @@ impl Reactor {
             stream_batch(
                 &mut conn.stream,
                 &self.state,
-                &self.config,
                 pages,
                 keep_alive,
                 &mut self.scratch,

@@ -15,7 +15,7 @@
 //!                 │                      │    └─► ShardedCache          │
 //!                 │                      └─ BatchStream ─► StreamFanout │
 //!                 │                         (chunked response while the │
-//!                 │                          work-stealing pool runs)   │
+//!                 │                          batch workers run)         │
 //!                 └─ ServerHandle::shutdown(): flag + self-connect to
 //!                    unblock accept, drop queued waiters, then join
 //!                    accept + connections (in-flight requests finish).
@@ -27,23 +27,21 @@
 //! the two cores answer byte-identical responses — pinned by the
 //! differential proptest and the core-parameterized torture suite.
 //!
-//! Batch requests fan their pages out over the workspace's work-stealing
-//! pool (`crawl::pool::run_work_stealing`) so a many-page batch uses
-//! every core, exactly like the offline crawl pipeline. Each page inside
-//! a batch goes through the same content-hash cache as single audits, so
-//! mixed single/batch traffic shares one response cache — and since the
-//! streaming rewrite, the response is written element by element as pool
-//! units complete, holding at most a bounded reorder window in memory
-//! instead of the whole spliced array.
+//! Batch requests fan their pages out over [`ordered_map`], the in-order
+//! executor in `crate::batch`, so a many-page batch uses every core. Each
+//! page inside a batch goes through the same content-hash cache as single
+//! audits, so mixed single/batch traffic shares one response cache — and
+//! the response is written element by element as units complete,
+//! holding at most a reorder window of twice the batch worker count in
+//! memory instead of the whole spliced array.
 
-use crate::batch::{PeakGauge, StreamFanout};
+use crate::batch::{ordered_map, PeakGauge, StreamFanout};
 use crate::cache::{CacheSnapshot, ShardedCache};
 use crate::fairness::{FairnessConfig, PeerLimiter};
 use crate::governor::{Admission, Governor};
 use crate::http::{self, Limits, Request, RequestParser, Response};
 use crate::service::AuditService;
 use crate::stats::{LatencyHistogram, LatencySnapshot, RequestCounters, RequestSnapshot};
-use langcrux_crawl::run_work_stealing;
 use langcrux_obs as obs;
 use serde::{Serialize, Value};
 use std::io::{Read, Write};
@@ -130,7 +128,9 @@ impl std::fmt::Debug for RpcHook {
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: SocketAddr,
-    /// Worker threads for batch fan-out (0 = one per core).
+    /// Worker threads for batch fan-out (0 = one per core). A streamed
+    /// batch holds at most twice this many finished elements, so this
+    /// also bounds batch memory at O(workers × element).
     pub batch_threads: usize,
     pub cache_shards: usize,
     pub cache_capacity_per_shard: usize,
@@ -150,9 +150,6 @@ pub struct ServeConfig {
     /// OS-level write timeout: a client that stops reading its response
     /// cannot pin a connection thread past this.
     pub write_timeout: Duration,
-    /// Streaming-batch reorder window in elements (0 = auto: twice the
-    /// batch worker count). Bounds batch memory at O(window × element).
-    pub batch_window: usize,
     /// Which connection engine drives accepted sockets.
     pub core: ServeCore,
     /// Per-peer token-bucket rate limiting (`None` = off). Enforced by
@@ -186,7 +183,6 @@ impl Default for ServeConfig {
             accept_queue: 64,
             request_deadline: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            batch_window: 0,
             core: ServeCore::default(),
             fairness: None,
             max_batch_bytes: 2 * 1024 * 1024,
@@ -513,7 +509,7 @@ fn accepts_text_plain(request: &Request) -> bool {
 
 /// A routed request: either a complete response, or a batch whose
 /// response the connection loop streams as chunked encoding while the
-/// work-stealing pool completes elements.
+/// batch workers complete elements.
 #[derive(Debug)]
 pub enum Routed {
     Response(Response),
@@ -662,7 +658,7 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
 /// that want the whole document in memory. Uses the shared response
 /// cache but does not touch the request counters.
 pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
-    let reports: Vec<Arc<Vec<u8>>> = run_work_stealing(state.batch_threads(), pages, |_, page| {
+    let reports: Vec<Arc<Vec<u8>>> = ordered_map(state.batch_threads(), pages, |_, page| {
         let (bytes, _hit) = state
             .cache
             .get_or_compute(page.as_bytes(), || state.service.audit_json(page));
@@ -682,24 +678,18 @@ pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
 }
 
 /// Stream one batch response: chunked encoding, elements written in
-/// order as the work-stealing pool completes them, at most a bounded
-/// reorder window of elements in memory. The de-chunked bytes are
+/// order as the batch workers complete them, at most twice the worker
+/// count of elements in memory. The de-chunked bytes are
 /// byte-identical to [`batch_buffered`] for the same pages.
 pub(crate) fn stream_batch(
     stream: &mut TcpStream,
     state: &ServeState,
-    config: &ServeConfig,
     pages: &[String],
     keep_alive: bool,
     write_buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     let threads = state.batch_threads();
-    let window = if config.batch_window == 0 {
-        (threads * 2).max(2)
-    } else {
-        config.batch_window
-    };
-    let fanout = StreamFanout::new(pages.len(), window);
+    let fanout = StreamFanout::new(pages.len(), 2 * threads);
     let mut io_result = Ok(());
     std::thread::scope(|scope| {
         let fan = &fanout;
@@ -714,11 +704,11 @@ pub(crate) fn stream_batch(
                 }
             }
         }
-        // The pool occupies its own thread; this connection thread is
-        // the writer, so elements leave memory as fast as the socket
+        // The workers run on a thread of their own; this connection
+        // thread is the writer, so elements leave memory as fast as the socket
         // accepts them.
-        let pool = scope.spawn(move || {
-            run_work_stealing(threads, pages, |i, page| {
+        let workers = scope.spawn(move || {
+            ordered_map(threads, pages, |i, page| {
                 fan.admit(i);
                 let mut guard = PoisonOnUnwind(fan, false);
                 let (bytes, _hit) = state
@@ -749,13 +739,13 @@ pub(crate) fn stream_batch(
         })();
         if io_result.is_err() {
             // Client went away mid-stream (or a worker died): release
-            // parked workers and let the pool drain without a consumer.
+            // parked workers and let them drain without a consumer.
             fanout.abandon();
         }
-        // Join the pool explicitly to consume a propagated unit panic —
-        // an unjoined panicked scope thread would re-panic this
+        // Join the workers explicitly to consume a propagated unit panic
+        // — an unjoined panicked scope thread would re-panic this
         // connection thread at scope exit and leak its governor slot.
-        let _ = pool.join();
+        let _ = workers.join();
     });
     state.peak_batch_buffer.observe(fanout.peak_bytes());
     if io_result.is_ok() {
@@ -1014,14 +1004,7 @@ fn handle_connection(
                             response.keep_alive
                         }
                         Routed::BatchStream { pages, keep_alive } => {
-                            stream_batch(
-                                &mut stream,
-                                state,
-                                config,
-                                &pages,
-                                keep_alive,
-                                &mut write_buf,
-                            )?;
+                            stream_batch(&mut stream, state, &pages, keep_alive, &mut write_buf)?;
                             write_buf.clear();
                             keep_alive
                         }

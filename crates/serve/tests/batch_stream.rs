@@ -106,8 +106,7 @@ fn large_batch_bounded_buffer(core: ServeCore) {
     // never materialized in one buffer.
     let server = spawn(ServeConfig {
         core,
-        batch_threads: 4,
-        batch_window: 4,
+        batch_threads: 2,
         ..ServeConfig::default()
     })
     .expect("spawn");

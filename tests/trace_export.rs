@@ -34,7 +34,7 @@ fn traced_build(seed: u64, threads: usize) -> TraceReport {
     let session = trace::start(TraceConfig::default());
     let ds = build_dataset(&corpus, options(threads));
     let report = session.finish();
-    assert!(ds.len() > 0, "build produced no records");
+    assert!(!ds.is_empty(), "build produced no records");
     report
 }
 
