@@ -1447,6 +1447,28 @@ mod tests {
         assert!(deep >= options.backoff_cap_ms);
     }
 
+    /// Exact waits for a few `(seed, unit, attempt)` triples, with and
+    /// without jitter: the schedule is part of the ledger bytes.
+    #[test]
+    fn reassignment_backoff_schedule_is_pinned() {
+        let options = DistOptions::default();
+        let mut got = Vec::new();
+        for (seed, unit) in [(7, "bd:0:64"), (42, "th:128:192")] {
+            for attempt in [0, 1, 4, 40] {
+                got.push(reassignment_backoff_ms(&options, seed, unit, attempt));
+            }
+        }
+        assert_eq!(got, [201, 408, 3226, 5046, 226, 434, 3248, 5047]);
+        let plain = DistOptions {
+            backoff_jitter_ms: 0,
+            ..DistOptions::default()
+        };
+        let got: Vec<u64> = [0, 2, 4, 9]
+            .map(|a| reassignment_backoff_ms(&plain, 7, "bd:0:64", a))
+            .to_vec();
+        assert_eq!(got, [200, 800, 3200, 5000]);
+    }
+
     #[test]
     fn worker_state_serves_units_and_rejects_garbage() {
         let config = small_config(53, 6);

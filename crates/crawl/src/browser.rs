@@ -442,6 +442,32 @@ mod tests {
         assert!(other, "all hosts drew identical jitter");
     }
 
+    /// Exact waits for a few `(host, attempt)` pairs at seed 11, with
+    /// and without jitter: the schedule is part of the ledger bytes.
+    #[test]
+    fn backoff_schedule_is_pinned() {
+        let net = net(FaultPlan::RELIABLE);
+        let browser = Browser::new(&net, BrowserConfig::default());
+        let mut got = Vec::new();
+        for host in ["khobor.bd", "sangbad.bd"] {
+            for attempt in [0, 1, 3, 5, 20] {
+                got.push(browser.backoff_ms(host, attempt));
+            }
+        }
+        assert_eq!(got, [105, 200, 850, 2005, 2017, 122, 210, 834, 2027, 2014]);
+        let plain = Browser::new(
+            &net,
+            BrowserConfig {
+                backoff_jitter_ms: 0,
+                ..BrowserConfig::default()
+            },
+        );
+        let got: Vec<u64> = [0, 2, 4, 9]
+            .map(|a| plain.backoff_ms("khobor.bd", a))
+            .to_vec();
+        assert_eq!(got, [100, 400, 1600, 2000]);
+    }
+
     #[test]
     fn total_failure_breaks_the_breaker_and_respects_deadline() {
         // A plan that always times out: the visit must exhaust retries,

@@ -248,6 +248,52 @@ mod tests {
         check_balance(&json);
     }
 
+    /// The exact bytes of a small two-lane export: key order, the
+    /// metadata and duration event shapes, `args` on `B` only, and the
+    /// `otherData` counters.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let report = TraceReport {
+            workers: vec![
+                WorkerTrace {
+                    worker: 0,
+                    dropped: 0,
+                    spans: vec![
+                        SpanRecord {
+                            name: "crawl.fetch",
+                            key: 0xbeef,
+                            depth: 1,
+                            start_us: 3,
+                            dur_us: 4,
+                            virtual_ms: 250,
+                        },
+                        rec("pipeline.build", 0, 0, 9),
+                    ],
+                },
+                WorkerTrace {
+                    worker: 2,
+                    dropped: 1,
+                    spans: vec![rec("solo", 0, 5, 0)],
+                },
+            ],
+            dropped_spans: 1,
+            capacity_per_worker: 16,
+        };
+        let expected = concat!(
+            r#"{"displayTimeUnit":"ms","otherData":{"dropped_spans":1,"capacity_per_worker":16},"traceEvents":["#,
+            r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"langcrux run"}},"#,
+            r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"worker-0"}},"#,
+            r#"{"ph":"B","pid":1,"tid":1,"ts":0,"name":"pipeline.build","cat":"pipeline","args":{"key":"0000000000000007","virtual_ms":0}},"#,
+            r#"{"ph":"B","pid":1,"tid":1,"ts":3,"name":"crawl.fetch","cat":"crawl","args":{"key":"000000000000beef","virtual_ms":250}},"#,
+            r#"{"ph":"E","pid":1,"tid":1,"ts":7,"name":"crawl.fetch","cat":"crawl"},"#,
+            r#"{"ph":"E","pid":1,"tid":1,"ts":9,"name":"pipeline.build","cat":"pipeline"},"#,
+            r#"{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"worker-2"}},"#,
+            r#"{"ph":"B","pid":1,"tid":3,"ts":5,"name":"solo","cat":"solo","args":{"key":"0000000000000007","virtual_ms":0}},"#,
+            r#"{"ph":"E","pid":1,"tid":3,"ts":5,"name":"solo","cat":"solo"}]}"#,
+        );
+        assert_eq!(trace_events_json(&report), expected);
+    }
+
     #[test]
     fn multiple_workers_get_distinct_named_lanes() {
         let mut r = report(vec![rec("pipeline.a", 0, 0, 5)]);
