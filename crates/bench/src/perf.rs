@@ -191,8 +191,8 @@ pub fn distributed_timing(seed: u64, scale: Scale) -> DistributedRecord {
 ///
 /// `trace_overhead` is the ratio of a full traced build (session active,
 /// every stage span recorded into the per-worker rings) to the identical
-/// untraced build on the same corpus — CI gates it at ≤ 1.03, the same
-/// bar as the resilience tax. The traced run must also reproduce the
+/// untraced build on the same corpus — CI gates it at ≤ 1.03. The
+/// traced run must also reproduce the
 /// untraced dataset byte-for-byte (asserted before timing), so the record
 /// doubles as the determinism contract's bench-side witness.
 #[derive(Debug, Clone, Serialize)]
@@ -238,7 +238,8 @@ pub fn observability_timing(seed: u64, scale: Scale) -> ObservabilityRecord {
     let mut disabled_ms = f64::INFINITY;
     let mut enabled_ms = f64::INFINITY;
     let mut report = probe_report;
-    // Same noise floor as the resilience gate: min-of-3 for a 3% CI bar.
+    // One extra run over the standard RUNS: the ratio gates CI at 3%,
+    // so it needs the noise floor of min-of-3.
     for _ in 0..RUNS.max(3) {
         let start = Instant::now();
         let ds = build_dataset(&corpus, options);
@@ -271,10 +272,8 @@ pub fn observability_timing(seed: u64, scale: Scale) -> ObservabilityRecord {
 
 /// Cost and behaviour of the resilient crawl engine, at one scale.
 ///
-/// `overhead` is the ratio of the ledger-folding RELIABLE build to the
-/// plain one on the same corpus — the price of trace accounting, backoff
-/// bookkeeping and unwind guards when nothing fails (CI gates it at
-/// ≤ 1.03). The `hostile_*` fields summarize a full degraded run under
+/// `fault_free_ms` times the ledger-folding build on a RELIABLE corpus;
+/// the `hostile_*` fields summarize a full degraded run under
 /// [`FaultPlan::HOSTILE`] from its [`CrawlLedger`].
 ///
 /// [`CrawlLedger`]: langcrux_core::CrawlLedger
@@ -284,10 +283,6 @@ pub struct ResilienceRecord {
     pub sites_per_country: usize,
     /// RELIABLE-plan `build_dataset_with_ledger`, milliseconds.
     pub fault_free_ms: f64,
-    /// RELIABLE-plan `build_dataset` (ledger discarded), milliseconds.
-    pub lean_ms: f64,
-    /// `fault_free_ms / lean_ms` — the fault-free resilience tax.
-    pub overhead: f64,
     /// HOSTILE-plan `build_dataset_with_ledger`, milliseconds.
     pub hostile_ms: f64,
     /// Records the HOSTILE run still produced.
@@ -316,10 +311,7 @@ pub fn resilience_timing(seed: u64, scale: Scale) -> ResilienceRecord {
 
     let reliable = build_corpus_with_plan(seed, scale, FaultPlan::RELIABLE);
     let mut fault_free_ms = f64::INFINITY;
-    let mut lean_ms = f64::INFINITY;
-    // One extra run over the standard RUNS: the overhead ratio gates CI
-    // at 3%, so it needs the noise floor of min-of-3.
-    for _ in 0..RUNS.max(3) {
+    for _ in 0..RUNS {
         let start = Instant::now();
         let (ds, ledger) = build_dataset_with_ledger(&reliable, options);
         fault_free_ms = fault_free_ms.min(start.elapsed().as_secs_f64() * 1e3);
@@ -332,11 +324,6 @@ pub fn resilience_timing(seed: u64, scale: Scale) -> ResilienceRecord {
             + ledger.totals.errors.deadline_exceeded
             + ledger.totals.errors.circuit_open;
         assert_eq!(injected, 0, "RELIABLE run had injected-fault errors");
-        std::hint::black_box(ds.len());
-
-        let start = Instant::now();
-        let ds = build_dataset(&reliable, options);
-        lean_ms = lean_ms.min(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(ds.len());
     }
 
@@ -357,8 +344,6 @@ pub fn resilience_timing(seed: u64, scale: Scale) -> ResilienceRecord {
         scale: scale_name(scale),
         sites_per_country: quota,
         fault_free_ms,
-        lean_ms,
-        overhead: fault_free_ms / lean_ms.max(1e-9),
         hostile_ms,
         hostile_records: records,
         hostile_selected: totals.selected,
@@ -596,13 +581,11 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
              available_parallelism() = {cores} on this host extra workers contribute \
              {par}; worker_scaling records the fused pipeline per worker count on \
              multi-core hosts, isolating that parallel share. resilience records the \
-             resilient crawl engine's fault-free tax (ledger-folding RELIABLE build vs \
-             the plain one on the same corpus; CI gates the ratio at 1.03) and the \
-             headline ledger numbers of a HOSTILE-plan degraded run at the first scale. \
-             observability records the span-tracing tax the same way (traced vs \
-             untraced build on the same corpus, byte-identical datasets asserted; CI \
-             gates trace_overhead at 1.03) plus the traced run's span count and stage \
-             coverage. distributed records the fault-tolerant coordinator's cost over \
+             ledger-folding build's time on a RELIABLE corpus and the headline ledger \
+             numbers of a HOSTILE-plan degraded run at the first scale. observability \
+             records the span-tracing tax (traced vs untraced build on the same corpus, \
+             byte-identical datasets asserted; CI gates trace_overhead at 1.03) plus \
+             the traced run's span count and stage coverage. distributed records the fault-tolerant coordinator's cost over \
              the in-process unit executor at the first scale — byte-identity with the \
              single-process oracle is asserted before recording, clean and under a \
              seeded kill schedule (chaos_ms / chaos_reassignments); CI gates \
@@ -673,8 +656,7 @@ mod tests {
     fn resilience_record_shape() {
         let r = resilience_timing(23, Scale::Sites(5));
         assert_eq!(r.sites_per_country, 5);
-        assert!(r.fault_free_ms > 0.0 && r.lean_ms > 0.0 && r.hostile_ms > 0.0);
-        assert!(r.overhead > 0.0);
+        assert!(r.fault_free_ms > 0.0 && r.hostile_ms > 0.0);
         // The degraded run still completes and selects most of the quota.
         assert!(r.hostile_records > 0);
         assert_eq!(

@@ -16,7 +16,7 @@ use langcrux_filter::DiscardCategory;
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::Country;
 use langcrux_langid::LabelLanguage;
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// State of one accessibility element on a site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,13 +69,7 @@ pub struct SiteGaps {
 }
 
 /// One website in the dataset.
-///
-/// Serialization is hand-written (not derived) for one reason: the
-/// optional `gaps` object must be *absent* — not `null` — when a site has
-/// no translation-gap summary, so datasets built with gap scenarios
-/// disabled serialize byte-identically to those produced before the gap
-/// dimension existed. The field order matches the old derive exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteRecord {
     pub host: String,
     pub country: Country,
@@ -96,62 +90,11 @@ pub struct SiteRecord {
     /// Whether the site passes base `image-alt` (Figure 6 eligibility).
     pub kizuki_eligible: bool,
     /// Translation-gap summary; `None` when gap scenarios were disabled
-    /// or the page audited clean.
+    /// or the page audited clean. Absent from the JSON (not `null`) when
+    /// `None`, so datasets built without gap scenarios keep the bytes
+    /// they had before the gap dimension existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub gaps: Option<SiteGaps>,
-}
-
-impl Serialize for SiteRecord {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("host".to_string(), self.host.to_value()),
-            ("country".to_string(), self.country.to_value()),
-            ("rank".to_string(), self.rank.to_value()),
-            (
-                "visible_native_pct".to_string(),
-                self.visible_native_pct.to_value(),
-            ),
-            (
-                "visible_english_pct".to_string(),
-                self.visible_english_pct.to_value(),
-            ),
-            ("declared_lang".to_string(), self.declared_lang.to_value()),
-            ("elements".to_string(), self.elements.to_value()),
-            ("base_score".to_string(), self.base_score.to_value()),
-            ("kizuki_score".to_string(), self.kizuki_score.to_value()),
-            (
-                "kizuki_eligible".to_string(),
-                self.kizuki_eligible.to_value(),
-            ),
-        ];
-        if let Some(gaps) = &self.gaps {
-            obj.push(("gaps".to_string(), gaps.to_value()));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for SiteRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(SiteRecord {
-            host: field(obj, "host")?,
-            country: field(obj, "country")?,
-            rank: field(obj, "rank")?,
-            visible_native_pct: field(obj, "visible_native_pct")?,
-            visible_english_pct: field(obj, "visible_english_pct")?,
-            declared_lang: field(obj, "declared_lang")?,
-            elements: field(obj, "elements")?,
-            base_score: field(obj, "base_score")?,
-            kizuki_score: field(obj, "kizuki_score")?,
-            kizuki_eligible: field(obj, "kizuki_eligible")?,
-            gaps: match v.get("gaps") {
-                Some(g) => Some(SiteGaps::from_value(g)?),
-                None => None,
-            },
-        })
-    }
 }
 
 impl SiteRecord {

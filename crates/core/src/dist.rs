@@ -67,13 +67,12 @@ use crate::pipeline::process_site;
 use crate::selection::{
     probe_candidate_traced, tally_outcome, Rejection, SelectedSite, SelectionStats,
 };
-use langcrux_crawl::{Browser, BrowserConfig, VisitTrace};
+use langcrux_crawl::{capped_backoff_ms, Browser, BrowserConfig, VisitTrace};
 use langcrux_kizuki::{Kizuki, ScreenReader};
-use langcrux_lang::{rng, Country};
+use langcrux_lang::Country;
 use langcrux_net::{vpn_vantage, FaultPlan};
 use langcrux_obs as obs;
 use langcrux_webgen::{Corpus, CorpusConfig};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -590,31 +589,6 @@ pub struct DistHalted {
     pub units_completed: usize,
 }
 
-/// Reassignment backoff for dispatch attempt `attempt` of `unit_key` —
-/// the crawl engine's capped-exponential shape with seeded jitter, pure
-/// in `(seed, unit, attempt)` so degraded-run accounting is reproducible.
-fn reassignment_backoff_ms(options: &DistOptions, seed: u64, unit_key: &str, attempt: u32) -> u64 {
-    let exp = options
-        .backoff_base_ms
-        .checked_shl(attempt.min(16))
-        .unwrap_or(u64::MAX)
-        .min(options.backoff_cap_ms);
-    let jitter = if options.backoff_jitter_ms == 0 {
-        0
-    } else {
-        rng::rng_for(
-            seed,
-            &[
-                rng::stream_id(unit_key),
-                u64::from(attempt),
-                DIST_BACKOFF_STREAM,
-            ],
-        )
-        .gen_range(0..=options.backoff_jitter_ms)
-    };
-    exp + jitter
-}
-
 // ---------------------------------------------------------------------
 // Checkpoint log
 // ---------------------------------------------------------------------
@@ -1022,8 +996,17 @@ fn run_wave<E: UnitExecutor + ?Sized>(
                                 }
                                 if retry {
                                     s.reassignments += 1;
-                                    s.backoff_virtual_ms +=
-                                        reassignment_backoff_ms(options, seed, &key, attempt);
+                                    // Pure in (seed, unit, attempt), so the
+                                    // degraded-run accounting reproduces.
+                                    s.backoff_virtual_ms += capped_backoff_ms(
+                                        seed,
+                                        &key,
+                                        attempt,
+                                        DIST_BACKOFF_STREAM,
+                                        options.backoff_base_ms,
+                                        options.backoff_cap_ms,
+                                        options.backoff_jitter_ms,
+                                    );
                                 }
                             }
                             if !retry {
@@ -1269,7 +1252,7 @@ mod tests {
         let config = small_config(23, 12);
         // Every unit fails its first two dispatches on a seeded schedule.
         let executor = LocalExecutor::with_failures(&config, |key, attempt| {
-            attempt < (rng::stream_id(key) % 3) as u32
+            attempt < (langcrux_lang::rng::stream_id(key) % 3) as u32
         });
         let options = DistOptions {
             quota: 12,
@@ -1434,6 +1417,20 @@ mod tests {
         let json = serde_json::to_string(&verdicts).unwrap();
         let back: Vec<WireVerdict> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, verdicts);
+    }
+
+    /// The coordinator's wait before re-dispatching `unit` after
+    /// dispatch attempt `attempt` failed.
+    fn reassignment_backoff_ms(options: &DistOptions, seed: u64, unit: &str, attempt: u32) -> u64 {
+        capped_backoff_ms(
+            seed,
+            unit,
+            attempt,
+            DIST_BACKOFF_STREAM,
+            options.backoff_base_ms,
+            options.backoff_cap_ms,
+            options.backoff_jitter_ms,
+        )
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::selection::Rejection;
 use langcrux_crawl::{VisitError, VisitTrace};
 use langcrux_net::{FaultPlan, FetchError};
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Terminal error counts, bucketed by the expanded fault taxonomy.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,12 +70,12 @@ impl ErrorTaxonomy {
 
 /// One country's degraded-run account.
 ///
-/// Serialization is hand-written so the translation-gap counters — which
-/// only a gap-enabled corpus can make nonzero — are *omitted* when zero.
-/// Ledgers from runs with gap scenarios disabled therefore serialize
-/// byte-identically to ledgers produced before the gap dimension existed,
-/// and old ledger JSON still deserializes (missing counters read as 0).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The translation-gap counters — which only a gap-enabled corpus can
+/// make nonzero — are *omitted* when zero. Ledgers from runs with gap
+/// scenarios disabled therefore serialize byte-identically to ledgers
+/// produced before the gap dimension existed, and old ledger JSON still
+/// deserializes (missing counters read as 0).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CountryLedger {
     pub country_code: String,
     /// Candidates consumed by the replacement walk.
@@ -115,93 +115,15 @@ pub struct CountryLedger {
     /// Hosts whose site analysis panicked and was contained.
     pub poisoned_sites: Vec<String>,
     /// Selected pages carrying at least one translation-gap region.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub gap_pages: u64,
     /// Translation-gap regions flagged across the country's pages.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub gap_regions: u64,
 }
 
-impl Serialize for CountryLedger {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("country_code".to_string(), self.country_code.to_value()),
-            ("attempted".to_string(), self.attempted.to_value()),
-            ("selected".to_string(), self.selected.to_value()),
-            ("attempts".to_string(), self.attempts.to_value()),
-            ("retries".to_string(), self.retries.to_value()),
-            ("errors".to_string(), self.errors.to_value()),
-            (
-                "rejected_threshold".to_string(),
-                self.rejected_threshold.to_value(),
-            ),
-            (
-                "truncated_bodies".to_string(),
-                self.truncated_bodies.to_value(),
-            ),
-            ("garbled_bodies".to_string(), self.garbled_bodies.to_value()),
-            (
-                "backoff_wait_ms".to_string(),
-                self.backoff_wait_ms.to_value(),
-            ),
-            (
-                "breaker_wait_ms".to_string(),
-                self.breaker_wait_ms.to_value(),
-            ),
-            ("virtual_ms".to_string(), self.virtual_ms.to_value()),
-            ("breaker_opened".to_string(), self.breaker_opened.to_value()),
-            ("breaker_probes".to_string(), self.breaker_probes.to_value()),
-            (
-                "breaker_reclosed".to_string(),
-                self.breaker_reclosed.to_value(),
-            ),
-            ("replacements".to_string(), self.replacements.to_value()),
-            (
-                "max_replacement_run".to_string(),
-                self.max_replacement_run.to_value(),
-            ),
-            ("poisoned_sites".to_string(), self.poisoned_sites.to_value()),
-        ];
-        if self.gap_pages != 0 || self.gap_regions != 0 {
-            obj.push(("gap_pages".to_string(), self.gap_pages.to_value()));
-            obj.push(("gap_regions".to_string(), self.gap_regions.to_value()));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for CountryLedger {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        let optional = |name: &str| -> Result<u64, DeError> {
-            match v.get(name) {
-                Some(count) => u64::from_value(count),
-                None => Ok(0),
-            }
-        };
-        Ok(CountryLedger {
-            country_code: field(obj, "country_code")?,
-            attempted: field(obj, "attempted")?,
-            selected: field(obj, "selected")?,
-            attempts: field(obj, "attempts")?,
-            retries: field(obj, "retries")?,
-            errors: field(obj, "errors")?,
-            rejected_threshold: field(obj, "rejected_threshold")?,
-            truncated_bodies: field(obj, "truncated_bodies")?,
-            garbled_bodies: field(obj, "garbled_bodies")?,
-            backoff_wait_ms: field(obj, "backoff_wait_ms")?,
-            breaker_wait_ms: field(obj, "breaker_wait_ms")?,
-            virtual_ms: field(obj, "virtual_ms")?,
-            breaker_opened: field(obj, "breaker_opened")?,
-            breaker_probes: field(obj, "breaker_probes")?,
-            breaker_reclosed: field(obj, "breaker_reclosed")?,
-            replacements: field(obj, "replacements")?,
-            max_replacement_run: field(obj, "max_replacement_run")?,
-            poisoned_sites: field(obj, "poisoned_sites")?,
-            gap_pages: optional("gap_pages")?,
-            gap_regions: optional("gap_regions")?,
-        })
-    }
+fn is_zero(count: &u64) -> bool {
+    *count == 0
 }
 
 impl CountryLedger {
@@ -296,14 +218,7 @@ pub struct DegradedUnit {
 }
 
 /// The degraded-run ledger for one dataset build.
-///
-/// Serialization is hand-written for the same reason as
-/// [`CountryLedger`]'s: the `degraded_units` section — which only a
-/// distributed build that permanently lost a unit can populate — is
-/// *omitted* when empty, so single-process ledgers (and every fully
-/// recovered distributed run) serialize byte-identically to ledgers
-/// produced before the distributed build existed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrawlLedger {
     /// Corpus seed the run was built from.
     pub seed: u64,
@@ -314,41 +229,11 @@ pub struct CrawlLedger {
     /// Whole-run totals (`country_code == "total"`).
     pub totals: CountryLedger,
     /// Work units a distributed build lost after max reassignments;
-    /// empty on single-process and fully recovered runs.
+    /// empty on single-process and fully recovered runs. *Omitted* when
+    /// empty, so those ledgers serialize byte-identically to ledgers
+    /// produced before the distributed build existed.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub degraded_units: Vec<DegradedUnit>,
-}
-
-impl Serialize for CrawlLedger {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("fault_plan".to_string(), self.fault_plan.to_value()),
-            ("countries".to_string(), self.countries.to_value()),
-            ("totals".to_string(), self.totals.to_value()),
-        ];
-        if !self.degraded_units.is_empty() {
-            obj.push(("degraded_units".to_string(), self.degraded_units.to_value()));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for CrawlLedger {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(CrawlLedger {
-            seed: field(obj, "seed")?,
-            fault_plan: field(obj, "fault_plan")?,
-            countries: field(obj, "countries")?,
-            totals: field(obj, "totals")?,
-            degraded_units: match v.get("degraded_units") {
-                Some(units) => Vec::from_value(units)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl CrawlLedger {

@@ -258,7 +258,15 @@ impl<'net> Browser<'net> {
                 }
                 Err(e) if e.is_retryable() && request.attempt < self.config.max_retries => {
                     breaker.record_failure(elapsed);
-                    let wait = self.backoff_ms(&url.host, request.attempt);
+                    let wait = capped_backoff_ms(
+                        self.internet.seed(),
+                        &url.host,
+                        request.attempt,
+                        BACKOFF_STREAM,
+                        self.config.backoff_base_ms,
+                        self.config.backoff_cap_ms,
+                        self.config.backoff_jitter_ms,
+                    );
                     obs::trace::virtual_wait("crawl.backoff", span_key, wait);
                     trace.backoff_wait_ms += wait;
                     elapsed += wait;
@@ -283,30 +291,29 @@ impl<'net> Browser<'net> {
         self.clock.advance(elapsed);
         (result, trace)
     }
+}
 
-    /// Capped exponential backoff before retry `attempt_done + 1`, with
-    /// deterministic jitter derived from `(seed, host, attempt)` — the
-    /// same derivation discipline as the fault dice, so backoff schedules
-    /// are reproducible and order-independent.
-    fn backoff_ms(&self, host: &str, attempt_done: u32) -> u64 {
-        let doubled = self
-            .config
-            .backoff_base_ms
-            .saturating_mul(1u64 << attempt_done.min(16));
-        let wait = doubled.min(self.config.backoff_cap_ms);
-        if self.config.backoff_jitter_ms == 0 {
-            return wait;
-        }
-        let mut r = rng::rng_for(
-            self.internet.seed(),
-            &[
-                rng::stream_id(host),
-                u64::from(attempt_done),
-                BACKOFF_STREAM,
-            ],
-        );
-        wait + r.gen_range(0..=self.config.backoff_jitter_ms)
+/// Capped exponential backoff before retry `attempt + 1`:
+/// `min(base_ms << attempt, cap_ms)` plus a jitter in `0..=jitter_ms`
+/// drawn from `(seed, key, attempt, stream)` — the same derivation
+/// discipline as the fault dice, so a schedule is reproducible and
+/// independent of the order waits are asked for. The crawl's retry loop
+/// keys it by host, the distributed build's reassignment by work unit.
+pub fn capped_backoff_ms(
+    seed: u64,
+    key: &str,
+    attempt: u32,
+    stream: u64,
+    base_ms: u64,
+    cap_ms: u64,
+    jitter_ms: u64,
+) -> u64 {
+    let wait = base_ms.saturating_mul(1u64 << attempt.min(16)).min(cap_ms);
+    if jitter_ms == 0 {
+        return wait;
     }
+    let mut r = rng::rng_for(seed, &[rng::stream_id(key), u64::from(attempt), stream]);
+    wait + r.gen_range(0..=jitter_ms)
 }
 
 #[cfg(test)]
@@ -422,23 +429,34 @@ mod tests {
         assert!(browser.clock_ms() > 0, "worker clock never advanced");
     }
 
+    /// The retry loop's wait before retry `attempt + 1` of `host`, on
+    /// the seed-11 internet of [`net`].
+    fn backoff(config: &BrowserConfig, host: &str, attempt: u32) -> u64 {
+        capped_backoff_ms(
+            11,
+            host,
+            attempt,
+            BACKOFF_STREAM,
+            config.backoff_base_ms,
+            config.backoff_cap_ms,
+            config.backoff_jitter_ms,
+        )
+    }
+
     #[test]
     fn backoff_is_deterministic_and_capped() {
-        let net = net(FaultPlan::RELIABLE);
-        let browser = Browser::new(&net, BrowserConfig::default());
         let config = BrowserConfig::default();
         for attempt in 0..10 {
-            let a = browser.backoff_ms("khobor.bd", attempt);
-            let b = browser.backoff_ms("khobor.bd", attempt);
+            let a = backoff(&config, "khobor.bd", attempt);
+            let b = backoff(&config, "khobor.bd", attempt);
             assert_eq!(a, b, "jitter must be deterministic");
             assert!(a <= config.backoff_cap_ms + config.backoff_jitter_ms);
             let floor = (config.backoff_base_ms << attempt.min(16)).min(config.backoff_cap_ms);
             assert!(a >= floor, "attempt {attempt}: {a} < {floor}");
         }
         // Different hosts jitter differently (decorrelated streams).
-        let other = (0..50).any(|i| {
-            browser.backoff_ms(&format!("h{i}.bd"), 0) != browser.backoff_ms("khobor.bd", 0)
-        });
+        let other = (0..50)
+            .any(|i| backoff(&config, &format!("h{i}.bd"), 0) != backoff(&config, "khobor.bd", 0));
         assert!(other, "all hosts drew identical jitter");
     }
 
@@ -446,24 +464,20 @@ mod tests {
     /// and without jitter: the schedule is part of the ledger bytes.
     #[test]
     fn backoff_schedule_is_pinned() {
-        let net = net(FaultPlan::RELIABLE);
-        let browser = Browser::new(&net, BrowserConfig::default());
+        let config = BrowserConfig::default();
         let mut got = Vec::new();
         for host in ["khobor.bd", "sangbad.bd"] {
             for attempt in [0, 1, 3, 5, 20] {
-                got.push(browser.backoff_ms(host, attempt));
+                got.push(backoff(&config, host, attempt));
             }
         }
         assert_eq!(got, [105, 200, 850, 2005, 2017, 122, 210, 834, 2027, 2014]);
-        let plain = Browser::new(
-            &net,
-            BrowserConfig {
-                backoff_jitter_ms: 0,
-                ..BrowserConfig::default()
-            },
-        );
+        let plain = BrowserConfig {
+            backoff_jitter_ms: 0,
+            ..BrowserConfig::default()
+        };
         let got: Vec<u64> = [0, 2, 4, 9]
-            .map(|a| plain.backoff_ms("khobor.bd", a))
+            .map(|a| backoff(&plain, "khobor.bd", a))
             .to_vec();
         assert_eq!(got, [100, 400, 1600, 2000]);
     }

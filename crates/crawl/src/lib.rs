@@ -20,8 +20,10 @@
 //!   (chrome landmarks, explicit `lang` subtrees), derived identically on
 //!   both extraction paths; the carrier for translation-gap detection.
 //! * [`browser`] — single-page visits under a production retry
-//!   discipline: capped exponential backoff with deterministic jitter,
-//!   per-visit fetch deadlines, and restricted-content detection.
+//!   discipline: capped exponential backoff with deterministic jitter
+//!   ([`capped_backoff_ms`], which the distributed build's reassignment
+//!   also uses), per-visit fetch deadlines, and restricted-content
+//!   detection.
 //! * [`breaker`] — a per-host circuit breaker (closed → open → half-open)
 //!   timed on the virtual clock.
 //! * [`clock`] — the deterministic [`VirtualClock`] all waiting is
@@ -39,7 +41,7 @@ pub mod regions;
 pub mod stream;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use browser::{Browser, BrowserConfig, Visit, VisitError, VisitTrace};
+pub use browser::{capped_backoff_ms, Browser, BrowserConfig, Visit, VisitError, VisitTrace};
 pub use clock::VirtualClock;
 pub use extract::{
     char_len, char_word_counts, extract, word_count, ExtractedElement, PageExtract, TextSource,

@@ -14,17 +14,18 @@
 
 use langcrux_lang::rng;
 use rand::Rng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Probabilities and latency model for the simulated network.
 ///
 /// Fields beyond whole-request loss model *partial* damage — truncated and
 /// garbled bodies, transient 5xx answers, persistently slow hosts — the
 /// degradations a real measurement crawl sees far more often than clean
-/// timeouts. Missing fields deserialize to their `Default` values (see the
-/// hand-written `Deserialize` impl below), so a hand-written `--fault-plan`
-/// JSON file only needs the knobs it changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// timeouts. Missing fields deserialize to their values in
+/// `FaultPlan::default()` (the container `#[serde(default)]`), so a
+/// hand-written `--fault-plan` JSON file only needs the knobs it changes.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultPlan {
     /// Probability a request times out entirely.
     pub timeout_chance: f64,
@@ -52,44 +53,6 @@ pub struct FaultPlan {
     pub base_latency_ms: u32,
     /// Additional uniform jitter bound in milliseconds.
     pub jitter_ms: u32,
-}
-
-/// Field-by-field deserialization with `Default` fallbacks, so partial
-/// plan files (`repro --fault-plan my-plan.json`) only name the knobs
-/// they change.
-impl serde::Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::expected("object", v))?;
-        fn get<T: serde::Deserialize>(
-            obj: &[(String, serde::Value)],
-            name: &str,
-            default: T,
-        ) -> Result<T, serde::DeError> {
-            match obj.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => T::from_value(v),
-                None => Ok(default),
-            }
-        }
-        let d = FaultPlan::default();
-        Ok(FaultPlan {
-            timeout_chance: get(obj, "timeout_chance", d.timeout_chance)?,
-            reset_chance: get(obj, "reset_chance", d.reset_chance)?,
-            extra_vpn_detection: get(obj, "extra_vpn_detection", d.extra_vpn_detection)?,
-            server_error_chance: get(obj, "server_error_chance", d.server_error_chance)?,
-            truncate_chance: get(obj, "truncate_chance", d.truncate_chance)?,
-            garble_chance: get(obj, "garble_chance", d.garble_chance)?,
-            slow_host_fraction: get(obj, "slow_host_fraction", d.slow_host_fraction)?,
-            slow_latency_multiplier: get(
-                obj,
-                "slow_latency_multiplier",
-                d.slow_latency_multiplier,
-            )?,
-            base_latency_ms: get(obj, "base_latency_ms", d.base_latency_ms)?,
-            jitter_ms: get(obj, "jitter_ms", d.jitter_ms)?,
-        })
-    }
 }
 
 impl Default for FaultPlan {

@@ -14,76 +14,104 @@
 //! which a simple interval stack reconstructs exactly.
 
 use crate::trace::{SpanRecord, TraceReport};
-use serde::Value;
+use serde::Serialize;
+
+/// The trace document; field names are the format's keys.
+#[allow(non_snake_case)]
+#[derive(Serialize)]
+struct Document {
+    displayTimeUnit: &'static str,
+    otherData: OtherData,
+    traceEvents: Vec<Event>,
+}
+
+#[derive(Serialize)]
+struct OtherData {
+    dropped_spans: u64,
+    capacity_per_worker: usize,
+}
+
+/// One trace event: `M` metadata (no `ts` or `cat`, `args.name`) or a
+/// `B`/`E` duration event (`args.key` and `args.virtual_ms` on `B` only).
+#[derive(Default, Serialize)]
+struct Event {
+    ph: &'static str,
+    pid: u64,
+    tid: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    ts: Option<u64>,
+    name: &'static str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    cat: Option<&'static str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    args: Option<Args>,
+}
+
+#[derive(Default, Serialize)]
+struct Args {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    name: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    key: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    virtual_ms: Option<u64>,
+}
 
 /// Render the report as a Chrome trace JSON string.
 pub fn trace_events_json(report: &TraceReport) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    events.push(metadata_event(0, "process_name", "langcrux run"));
+    let mut events = vec![metadata_event(
+        0,
+        "process_name",
+        "langcrux run".to_string(),
+    )];
     for w in &report.workers {
         let tid = u64::from(w.worker) + 1;
         events.push(metadata_event(
             tid,
             "thread_name",
-            &format!("worker-{}", w.worker),
+            format!("worker-{}", w.worker),
         ));
         emit_worker_events(tid, &w.spans, &mut events);
     }
-    let doc = Value::Object(vec![
-        ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        (
-            "otherData".to_string(),
-            Value::Object(vec![
-                (
-                    "dropped_spans".to_string(),
-                    Value::UInt(report.dropped_spans),
-                ),
-                (
-                    "capacity_per_worker".to_string(),
-                    Value::UInt(report.capacity_per_worker as u64),
-                ),
-            ]),
-        ),
-        ("traceEvents".to_string(), Value::Array(events)),
-    ]);
+    let doc = Document {
+        displayTimeUnit: "ms",
+        otherData: OtherData {
+            dropped_spans: report.dropped_spans,
+            capacity_per_worker: report.capacity_per_worker,
+        },
+        traceEvents: events,
+    };
     serde_json::to_string(&doc).expect("trace document serializes infallibly")
 }
 
-fn metadata_event(tid: u64, name: &str, value: &str) -> Value {
-    Value::Object(vec![
-        ("ph".to_string(), Value::Str("M".to_string())),
-        ("pid".to_string(), Value::UInt(1)),
-        ("tid".to_string(), Value::UInt(tid)),
-        ("name".to_string(), Value::Str(name.to_string())),
-        (
-            "args".to_string(),
-            Value::Object(vec![("name".to_string(), Value::Str(value.to_string()))]),
-        ),
-    ])
+fn metadata_event(tid: u64, name: &'static str, value: String) -> Event {
+    Event {
+        ph: "M",
+        pid: 1,
+        tid,
+        name,
+        args: Some(Args {
+            name: Some(value),
+            ..Args::default()
+        }),
+        ..Event::default()
+    }
 }
 
-fn duration_event(ph: &str, tid: u64, ts: u64, span: &SpanRecord) -> Value {
-    let mut fields = vec![
-        ("ph".to_string(), Value::Str(ph.to_string())),
-        ("pid".to_string(), Value::UInt(1)),
-        ("tid".to_string(), Value::UInt(tid)),
-        ("ts".to_string(), Value::UInt(ts)),
-        ("name".to_string(), Value::Str(span.name.to_string())),
-        (
-            "cat".to_string(),
-            Value::Str(category(span.name).to_string()),
-        ),
-    ];
-    if ph == "B" {
-        fields.push((
-            "args".to_string(),
-            Value::Object(vec![
-                ("key".to_string(), Value::Str(format!("{:016x}", span.key))),
-                ("virtual_ms".to_string(), Value::UInt(span.virtual_ms)),
-            ]),
-        ));
+fn duration_event(ph: &'static str, tid: u64, ts: u64, span: &SpanRecord) -> Event {
+    Event {
+        ph,
+        pid: 1,
+        tid,
+        ts: Some(ts),
+        name: span.name,
+        cat: Some(category(span.name)),
+        args: (ph == "B").then(|| Args {
+            key: Some(format!("{:016x}", span.key)),
+            virtual_ms: Some(span.virtual_ms),
+            ..Args::default()
+        }),
     }
-    Value::Object(fields)
 }
 
 /// Event category = the stage-name prefix before the first dot.
@@ -100,7 +128,7 @@ fn category(name: &'static str) -> &'static str {
 /// computed end can overshoot its parent's by a microsecond; each
 /// pushed span's end is clamped to the enclosing one, keeping `ts`
 /// non-decreasing when the pair closes.
-fn emit_worker_events(tid: u64, spans: &[SpanRecord], out: &mut Vec<Value>) {
+fn emit_worker_events(tid: u64, spans: &[SpanRecord], out: &mut Vec<Event>) {
     let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
     // Begin order: earliest start first; at equal starts the longer span
     // is the parent and must open first.
@@ -140,6 +168,7 @@ fn emit_worker_events(tid: u64, spans: &[SpanRecord], out: &mut Vec<Value>) {
 mod tests {
     use super::*;
     use crate::trace::WorkerTrace;
+    use serde::Value;
 
     fn rec(name: &'static str, depth: u32, start_us: u64, dur_us: u64) -> SpanRecord {
         SpanRecord {

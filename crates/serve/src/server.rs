@@ -265,6 +265,17 @@ pub struct StatsSnapshot {
     pub reactor: ReactorSnapshot,
 }
 
+/// The `GET /v1/healthz` build-info document.
+#[derive(Serialize)]
+struct Healthz {
+    status: &'static str,
+    service: &'static str,
+    version: &'static str,
+    git_sha: &'static str,
+    uptime_seconds: u64,
+    features: Vec<&'static str>,
+}
+
 impl ServeState {
     fn new(config: &ServeConfig) -> Self {
         ServeState {
@@ -309,34 +320,14 @@ impl ServeState {
 
     /// The `GET /v1/healthz` build-info document.
     fn healthz_body(&self) -> Vec<u8> {
-        let doc = Value::Object(vec![
-            ("status".to_string(), Value::Str("ok".to_string())),
-            (
-                "service".to_string(),
-                Value::Str("langcrux-serve".to_string()),
-            ),
-            (
-                "version".to_string(),
-                Value::Str(env!("CARGO_PKG_VERSION").to_string()),
-            ),
-            (
-                "git_sha".to_string(),
-                Value::Str(obs::registry::git_sha().to_string()),
-            ),
-            (
-                "uptime_seconds".to_string(),
-                Value::UInt(self.started.elapsed().as_secs()),
-            ),
-            (
-                "features".to_string(),
-                Value::Array(
-                    obs::registry::feature_flags()
-                        .into_iter()
-                        .map(|f| Value::Str(f.to_string()))
-                        .collect(),
-                ),
-            ),
-        ]);
+        let doc = Healthz {
+            status: "ok",
+            service: "langcrux-serve",
+            version: env!("CARGO_PKG_VERSION"),
+            git_sha: obs::registry::git_sha(),
+            uptime_seconds: self.started.elapsed().as_secs(),
+            features: obs::registry::feature_flags(),
+        };
         serde_json::to_string(&doc)
             .expect("healthz serialize")
             .into_bytes()

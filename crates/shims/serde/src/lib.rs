@@ -10,6 +10,29 @@
 //! `Value::Object` preserves insertion order, so `to_string` output is
 //! byte-stable for a given data structure — a property the pipeline's
 //! determinism tests rely on.
+//!
+//! # Attributes
+//!
+//! The derives understand three `#[serde(...)]` attributes, with real
+//! serde's spelling and meaning:
+//!
+//! * field `#[serde(skip_serializing_if = "path")]` — leave the key out
+//!   when `path(&field)` returns true;
+//! * field `#[serde(default)]` — a missing key reads as the field type's
+//!   `Default`;
+//! * container `#[serde(default)]` — a missing key takes that field's
+//!   value from the struct's own `Default`.
+//!
+//! Any other `serde` attribute, or one of these elsewhere (a variant, a
+//! tuple field), fails to compile:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed {
+//!     #[serde(rename = "id")]
+//!     key: u32,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -111,10 +134,19 @@ impl Deserialize for Value {
 
 /// Derive-macro helper: fetch + deserialize one field of an object.
 pub fn field<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, DeError> {
-    match obj.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_value(v),
-        None => Err(DeError(format!("missing field `{name}`"))),
-    }
+    optional_field(obj, name)?.ok_or_else(|| DeError(format!("missing field `{name}`")))
+}
+
+/// Derive-macro helper: fetch + deserialize one field of an object that
+/// may be absent (`#[serde(default)]`).
+pub fn optional_field<T: Deserialize>(
+    obj: &[(String, Value)],
+    name: &str,
+) -> Result<Option<T>, DeError> {
+    obj.iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| T::from_value(v))
+        .transpose()
 }
 
 // ---------------------------------------------------------------- numbers

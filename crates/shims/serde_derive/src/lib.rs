@@ -7,6 +7,12 @@
 //! * structs with named fields (including empty `{}`),
 //! * enums whose variants are unit, tuple, or struct-like.
 //!
+//! Three `#[serde(...)]` attributes are understood, spelled and meant as
+//! in real serde: field `skip_serializing_if = "path"`, field `default`
+//! and container `default` (see the `serde` shim's crate doc). Any other
+//! `serde` attribute, or one of these in another position, is a compile
+//! error.
+//!
 //! The generated impls target the shim's value-model traits
 //! (`serde::Serialize::to_value` / `serde::Deserialize::from_value`) and use
 //! serde's externally-tagged enum representation so the JSON written by the
@@ -15,8 +21,22 @@
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::str::FromStr;
 
+/// What the `#[serde(...)]` attributes at one position ask for.
+#[derive(Default)]
+struct Attrs {
+    /// `default`.
+    default: bool,
+    /// `skip_serializing_if = "path"`.
+    skip_if: Option<String>,
+}
+
+struct Field {
+    name: String,
+    attrs: Attrs,
+}
+
 enum Fields {
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
     Unit,
 }
@@ -30,6 +50,8 @@ enum Item {
     Struct {
         name: String,
         fields: Fields,
+        /// Container `#[serde(default)]`.
+        default: bool,
     },
     Enum {
         name: String,
@@ -37,18 +59,57 @@ enum Item {
     },
 }
 
-/// Skip any number of `#[...]` attribute groups starting at `i`.
-fn skip_attrs(tokens: &[TokenTree], mut i: usize) -> usize {
+/// Skip any number of `#[...]` attribute groups starting at `i`,
+/// collecting the arguments of the `#[serde(...)]` ones. Panics (a
+/// compile error at the derive site) on any argument other than
+/// `default` and `skip_serializing_if = "path"`.
+fn parse_attrs(tokens: &[TokenTree], mut i: usize) -> (Attrs, usize) {
+    let mut attrs = Attrs::default();
     while i + 1 < tokens.len() {
-        match (&tokens[i], &tokens[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                i += 2;
+        let (TokenTree::Punct(p), TokenTree::Group(g)) = (&tokens[i], &tokens[i + 1]) else {
+            break;
+        };
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            break;
+        }
+        i += 2;
+        let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+        if !matches!(inner.first(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+            continue;
+        }
+        let args: Vec<TokenTree> = match &inner[1..] {
+            [TokenTree::Group(args)] if args.delimiter() == Delimiter::Parenthesis => {
+                args.stream().into_iter().collect()
             }
-            _ => break,
+            _ => panic!("serde_derive shim: expected `#[serde(...)]`"),
+        };
+        for arg in args.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            let text: Vec<String> = arg.iter().map(ToString::to_string).collect();
+            let words: Vec<&str> = text.iter().map(String::as_str).collect();
+            match words.as_slice() {
+                [] => {}
+                ["default"] => attrs.default = true,
+                ["skip_serializing_if", "=", lit] if lit.len() > 2 && lit.starts_with('"') => {
+                    attrs.skip_if = Some(lit[1..lit.len() - 1].to_string());
+                }
+                _ => panic!(
+                    "serde_derive shim: unsupported attribute `serde({})`; supported are \
+                     `default` and `skip_serializing_if = \"path\"`",
+                    words.join(" ")
+                ),
+            }
         }
     }
+    (attrs, i)
+}
+
+/// [`parse_attrs`] for a position that takes no `serde` attribute.
+fn skip_attrs(tokens: &[TokenTree], i: usize, position: &str) -> usize {
+    let (attrs, i) = parse_attrs(tokens, i);
+    assert!(
+        !attrs.default && attrs.skip_if.is_none(),
+        "serde_derive shim: `serde` attributes are not supported on {position}"
+    );
     i
 }
 
@@ -69,7 +130,9 @@ fn skip_vis(tokens: &[TokenTree], mut i: usize) -> usize {
 fn top_level_commas(tokens: &[TokenTree]) -> usize {
     let mut depth = 0i32;
     let mut commas = 0;
-    for t in tokens {
+    for (i, t) in tokens.iter().enumerate() {
+        // Tuple fields take no `serde` attribute.
+        skip_attrs(tokens, i, "tuple fields");
         if let TokenTree::Punct(p) = t {
             match p.as_char() {
                 '<' => depth += 1,
@@ -83,11 +146,12 @@ fn top_level_commas(tokens: &[TokenTree]) -> usize {
 }
 
 /// Parse `name: Type, …` (named fields) from a brace-group body.
-fn parse_named_fields(body: &[TokenTree]) -> Vec<String> {
+fn parse_named_fields(body: &[TokenTree]) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < body.len() {
-        i = skip_attrs(body, i);
+        let (attrs, next) = parse_attrs(body, i);
+        i = next;
         if i >= body.len() {
             break;
         }
@@ -95,7 +159,10 @@ fn parse_named_fields(body: &[TokenTree]) -> Vec<String> {
         let TokenTree::Ident(name) = &body[i] else {
             panic!("serde_derive: expected field name, got {:?}", body[i]);
         };
-        fields.push(name.to_string());
+        fields.push(Field {
+            name: name.to_string(),
+            attrs,
+        });
         i += 1;
         assert!(
             matches!(&body[i], TokenTree::Punct(p) if p.as_char() == ':'),
@@ -126,7 +193,7 @@ fn parse_variants(body: &[TokenTree]) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < body.len() {
-        i = skip_attrs(body, i);
+        i = skip_attrs(body, i, "enum variants");
         if i >= body.len() {
             break;
         }
@@ -161,7 +228,12 @@ fn parse_variants(body: &[TokenTree]) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_attrs(&tokens, 0);
+    let (attrs, mut i) = parse_attrs(&tokens, 0);
+    assert!(
+        attrs.skip_if.is_none(),
+        "serde_derive shim: `skip_serializing_if` is a field attribute"
+    );
+    let default = attrs.default;
     i = skip_vis(&tokens, i);
     let kind = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
@@ -187,17 +259,23 @@ fn parse_item(input: TokenStream) -> Item {
             _ => i += 1,
         }
     };
+    assert!(
+        !default || (kind == "struct" && !tuple_struct),
+        "serde_derive shim: container `default` needs a struct with named fields ({name})"
+    );
     match kind.as_str() {
         "struct" if tuple_struct => {
             let trailing = matches!(body.last(), Some(TokenTree::Punct(p)) if p.as_char() == ',');
             Item::Struct {
                 name,
                 fields: Fields::Tuple(top_level_commas(&body) + usize::from(!trailing)),
+                default,
             }
         }
         "struct" => Item::Struct {
             name,
             fields: Fields::Named(parse_named_fields(&body)),
+            default,
         },
         "enum" => Item::Enum {
             name,
@@ -207,24 +285,52 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn named_to_value(fields: &[String], access: impl Fn(&str) -> String) -> String {
-    let entries: Vec<String> = fields
-        .iter()
-        .map(|f| {
-            format!(
-                "(\"{f}\".to_string(), ::serde::Serialize::to_value({})),",
-                access(f)
-            )
-        })
-        .collect();
-    format!("::serde::Value::Object(vec![{}])", entries.join(""))
+/// Build the `Value::Object` of named fields; `access` renders a
+/// reference to each field's value.
+fn named_to_value(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut pushes = String::new();
+    for f in fields {
+        let value = access(&f.name);
+        let push = format!(
+            "obj.push((\"{}\".to_string(), ::serde::Serialize::to_value({value})));",
+            f.name
+        );
+        match &f.attrs.skip_if {
+            Some(path) => pushes += &format!("if !{path}({value}) {{ {push} }}"),
+            None => pushes += &push,
+        }
+    }
+    format!(
+        "{{ #[allow(unused_mut)] let mut obj = ::std::vec::Vec::with_capacity({}); \
+         {pushes} ::serde::Value::Object(obj) }}",
+        fields.len()
+    )
 }
 
-#[proc_macro_derive(Serialize)]
+/// Field initialisers reading named fields out of `obj`. A `default`
+/// field falls back to `Default::default()`; with a container default,
+/// every other field falls back to the same field of `__default`.
+fn named_from_object(fields: &[Field], container_default: bool) -> String {
+    let mut inits = String::new();
+    for Field { name, attrs } in fields {
+        inits += &if attrs.default {
+            format!("{name}: ::serde::optional_field(obj, \"{name}\")?.unwrap_or_default(),")
+        } else if container_default {
+            format!(
+                "{name}: ::serde::optional_field(obj, \"{name}\")?.unwrap_or(__default.{name}),"
+            )
+        } else {
+            format!("{name}: ::serde::field(obj, \"{name}\")?,")
+        };
+    }
+    inits
+}
+
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let out = match &item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, fields, .. } => {
             let body = match fields {
                 Fields::Named(fields) => named_to_value(fields, |f| format!("&self.{f}")),
                 // Newtype structs serialize transparently, wider tuple
@@ -271,10 +377,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         }
                         Fields::Named(fields) => {
                             let inner = named_to_value(fields, |f| f.to_string());
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vn} {{ {} }} => ::serde::Value::Object(vec![\
                                  (\"{vn}\".to_string(), {inner})]),",
-                                fields.join(", ")
+                                binds.join(", ")
                             )
                         }
                     }
@@ -293,16 +400,22 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     TokenStream::from_str(&out).expect("serde_derive: generated impl must parse")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let out = match &item {
-        Item::Struct { name, fields } => match fields {
+        Item::Struct {
+            name,
+            fields,
+            default,
+        } => match fields {
             Fields::Named(fields) => {
-                let inits: Vec<String> = fields
-                    .iter()
-                    .map(|f| format!("{f}: ::serde::field(obj, \"{f}\")?,"))
-                    .collect();
+                let inits = named_from_object(fields, *default);
+                let container_default = if *default {
+                    "let __default: Self = ::std::default::Default::default();"
+                } else {
+                    ""
+                };
                 format!(
                     "impl ::serde::Deserialize for {name} {{\n\
                          fn from_value(v: &::serde::Value) \
@@ -310,10 +423,10 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                              let obj = v.as_object()\
                                  .ok_or_else(|| ::serde::DeError::expected(\"object\", v))?;\n\
                              let _ = obj;\n\
-                             ::std::result::Result::Ok({name} {{ {} }})\n\
+                             {container_default}\n\
+                             ::std::result::Result::Ok({name} {{ {inits} }})\n\
                          }}\n\
-                     }}",
-                    inits.join("")
+                     }}"
                 )
             }
             Fields::Tuple(1) => format!(
@@ -378,18 +491,14 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                             ))
                         }
                         Fields::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!("{f}: ::serde::field(obj, \"{f}\")?,"))
-                                .collect();
+                            let inits = named_from_object(fields, false);
                             Some(format!(
                                 "\"{vn}\" => {{\n\
                                      let obj = inner.as_object().ok_or_else(|| \
                                          ::serde::DeError::expected(\"object\", inner))?;\n\
                                      let _ = obj;\n\
-                                     ::std::result::Result::Ok({name}::{vn} {{ {} }})\n\
-                                 }}",
-                                inits.join("")
+                                     ::std::result::Result::Ok({name}::{vn} {{ {inits} }})\n\
+                                 }}"
                             ))
                         }
                     }
