@@ -585,11 +585,12 @@ pub fn pipeline_bench_report(seed: u64, scales: &[Scale]) -> PipelineBenchReport
              numbers of a HOSTILE-plan degraded run at the first scale. observability \
              records the span-tracing tax (traced vs untraced build on the same corpus, \
              byte-identical datasets asserted; CI gates trace_overhead at 1.03) plus \
-             the traced run's span count and stage coverage. distributed records the fault-tolerant coordinator's cost over \
-             the in-process unit executor at the first scale — byte-identity with the \
-             single-process oracle is asserted before recording, clean and under a \
-             seeded kill schedule (chaos_ms / chaos_reassignments); CI gates \
-             efficiency (single_process_ms / distributed_ms) at 0.25.",
+             the traced run's span count and stage coverage. distributed records the \
+             fault-tolerant coordinator's cost over the in-process unit executor at the \
+             first scale — byte-identity with the single-process oracle is asserted \
+             before recording, clean and under a seeded kill schedule (chaos_ms / \
+             chaos_reassignments); CI gates efficiency (single_process_ms / \
+             distributed_ms) at 0.25.",
             par = if cores > 1 {
                 "a parallel share"
             } else {
