@@ -589,6 +589,21 @@ pub struct DistHalted {
     pub units_completed: usize,
 }
 
+/// Reassignment backoff for dispatch attempt `attempt` of `unit_key`,
+/// pure in `(seed, unit, attempt)` so degraded-run accounting is
+/// reproducible.
+fn reassignment_backoff_ms(options: &DistOptions, seed: u64, unit_key: &str, attempt: u32) -> u64 {
+    capped_backoff_ms(
+        seed,
+        unit_key,
+        attempt,
+        DIST_BACKOFF_STREAM,
+        options.backoff_base_ms,
+        options.backoff_cap_ms,
+        options.backoff_jitter_ms,
+    )
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint log
 // ---------------------------------------------------------------------
@@ -998,15 +1013,8 @@ fn run_wave<E: UnitExecutor + ?Sized>(
                                     s.reassignments += 1;
                                     // Pure in (seed, unit, attempt), so the
                                     // degraded-run accounting reproduces.
-                                    s.backoff_virtual_ms += capped_backoff_ms(
-                                        seed,
-                                        &key,
-                                        attempt,
-                                        DIST_BACKOFF_STREAM,
-                                        options.backoff_base_ms,
-                                        options.backoff_cap_ms,
-                                        options.backoff_jitter_ms,
-                                    );
+                                    s.backoff_virtual_ms +=
+                                        reassignment_backoff_ms(options, seed, &key, attempt);
                                 }
                             }
                             if !retry {
@@ -1417,20 +1425,6 @@ mod tests {
         let json = serde_json::to_string(&verdicts).unwrap();
         let back: Vec<WireVerdict> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, verdicts);
-    }
-
-    /// The coordinator's wait before re-dispatching `unit` after
-    /// dispatch attempt `attempt` failed.
-    fn reassignment_backoff_ms(options: &DistOptions, seed: u64, unit: &str, attempt: u32) -> u64 {
-        capped_backoff_ms(
-            seed,
-            unit,
-            attempt,
-            DIST_BACKOFF_STREAM,
-            options.backoff_base_ms,
-            options.backoff_cap_ms,
-            options.backoff_jitter_ms,
-        )
     }
 
     #[test]

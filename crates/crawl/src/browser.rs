@@ -258,14 +258,11 @@ impl<'net> Browser<'net> {
                 }
                 Err(e) if e.is_retryable() && request.attempt < self.config.max_retries => {
                     breaker.record_failure(elapsed);
-                    let wait = capped_backoff_ms(
+                    let wait = backoff_ms(
+                        &self.config,
                         self.internet.seed(),
                         &url.host,
                         request.attempt,
-                        BACKOFF_STREAM,
-                        self.config.backoff_base_ms,
-                        self.config.backoff_cap_ms,
-                        self.config.backoff_jitter_ms,
                     );
                     obs::trace::virtual_wait("crawl.backoff", span_key, wait);
                     trace.backoff_wait_ms += wait;
@@ -291,6 +288,19 @@ impl<'net> Browser<'net> {
         self.clock.advance(elapsed);
         (result, trace)
     }
+}
+
+/// The retry loop's wait before retry `attempt + 1` of `host`.
+fn backoff_ms(config: &BrowserConfig, seed: u64, host: &str, attempt: u32) -> u64 {
+    capped_backoff_ms(
+        seed,
+        host,
+        attempt,
+        BACKOFF_STREAM,
+        config.backoff_base_ms,
+        config.backoff_cap_ms,
+        config.backoff_jitter_ms,
+    )
 }
 
 /// Capped exponential backoff before retry `attempt + 1`:
@@ -432,15 +442,7 @@ mod tests {
     /// The retry loop's wait before retry `attempt + 1` of `host`, on
     /// the seed-11 internet of [`net`].
     fn backoff(config: &BrowserConfig, host: &str, attempt: u32) -> u64 {
-        capped_backoff_ms(
-            11,
-            host,
-            attempt,
-            BACKOFF_STREAM,
-            config.backoff_base_ms,
-            config.backoff_cap_ms,
-            config.backoff_jitter_ms,
-        )
+        backoff_ms(config, 11, host, attempt)
     }
 
     #[test]
