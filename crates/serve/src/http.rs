@@ -1087,6 +1087,24 @@ mod tests {
         assert_eq!(text, "{\"error\":\"bad \\\"quote\\\"\",\"status\":400}");
     }
 
+    /// Exact bytes, head and body, of the error envelope: escaping,
+    /// header order and `Content-Length` all fixed.
+    #[test]
+    fn error_response_bytes_are_pinned() {
+        assert_eq!(
+            Response::error(400, "bad \"quote\"", false).to_bytes(),
+            b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+              Content-Length: 38\r\nConnection: close\r\n\r\n\
+              {\"error\":\"bad \\\"quote\\\"\",\"status\":400}"
+        );
+        assert_eq!(
+            Response::error(408, "request did not complete in time", false).to_bytes(),
+            b"HTTP/1.1 408 Request Timeout\r\nContent-Type: application/json\r\n\
+              Content-Length: 57\r\nConnection: close\r\n\r\n\
+              {\"error\":\"request did not complete in time\",\"status\":408}"
+        );
+    }
+
     #[test]
     fn chunked_response_round_trips_through_the_parser() {
         // Self-test the writer against our own decoder: a chunked POST
