@@ -12,7 +12,7 @@
 //!
 //! ARTIFACT: all (default) | table1 | table2 | table3 | table4 | table5
 //!         | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9
-//!         | headlines | selection | crawl
+//!         | headlines | langmeta | speech | report | selection | crawl
 //!         | ablation-vpn | ablation-langid
 //! ```
 //!
@@ -420,32 +420,47 @@ mod daemon_signals {
     }
 }
 
-/// `--serve-daemon`: run the audit server until SIGTERM, then drain.
-/// With `observations` from a preceding artifact build, the build's
-/// metric families are registered into the server's registry so
-/// `/v1/metrics` and `/v1/stats` expose them next to the serve counters.
-fn run_serve_daemon(
+/// The two long-lived server modes of `repro`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Daemon {
+    /// `--serve-daemon`.
+    Serve,
+    /// `--dist-worker`.
+    Worker,
+}
+
+/// The lifecycle both long-lived modes share: install the signal
+/// handlers, spawn the server, claim the pid/port file (or exit 3),
+/// serve until SIGTERM/SIGINT, then drain, remove the file and exit 0.
+/// `observations` from a preceding artifact build are registered into
+/// the server's registry first, so `/v1/metrics` and `/v1/stats` expose
+/// them next to the serve counters.
+fn run_daemon(
+    daemon: Daemon,
     file_path: &str,
-    port: u16,
-    core: langcrux_serve::ServeCore,
+    config: langcrux_serve::ServeConfig,
     observations: Option<BuildObservations>,
 ) -> ! {
     #[cfg(not(unix))]
     {
-        let _ = (file_path, port, core, observations);
-        eprintln!("--serve-daemon needs unix signal handling");
+        let _ = (file_path, config, observations);
+        let flag = match daemon {
+            Daemon::Serve => "--serve-daemon",
+            Daemon::Worker => "--dist-worker",
+        };
+        eprintln!("{flag} needs unix signal handling");
         std::process::exit(2);
     }
     #[cfg(unix)]
     {
-        use langcrux_serve::ServeConfig;
         daemon_signals::install();
-        let config = ServeConfig {
-            addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
-            core,
-            ..ServeConfig::default()
-        };
-        let server = langcrux_serve::spawn(config).expect("bind daemon listener");
+        let serving = daemon == Daemon::Serve;
+        let core = config.core.effective();
+        let server = langcrux_serve::spawn(config).expect(if serving {
+            "bind daemon listener"
+        } else {
+            "bind worker listener"
+        });
         if let Some(observations) = observations {
             server
                 .state()
@@ -455,39 +470,68 @@ fn run_serve_daemon(
         let addr = server.addr();
         // Claim the pid/port file: a stale file (dead pid — SIGKILL, OOM)
         // is replaced so restarts never wedge; a live holder is refused
-        // so a running daemon's advertisement is never clobbered.
+        // so a running process's advertisement is never clobbered.
         let doc = langcrux_serve::PidFileDoc::new(addr.port(), &addr.to_string());
         if let Err(held) = langcrux_serve::claim_pidfile(std::path::Path::new(file_path), &doc) {
             let holder = match held {
                 langcrux_serve::PidFileStatus::Live(doc) => doc.pid,
                 _ => 0,
             };
-            eprintln!("serve daemon: refusing to start — {file_path} is held by live pid {holder}");
+            if serving {
+                eprintln!(
+                    "serve daemon: refusing to start — {file_path} is held by live pid {holder}"
+                );
+            } else {
+                eprintln!("dist worker: refusing to start — {file_path} is held by a live process");
+            }
             server.shutdown();
             std::process::exit(3);
         }
-        eprintln!(
-            "serve daemon: http://{addr} on the {} core (pid {}, pid/port file {file_path}); \
-             SIGTERM drains",
-            core.effective().name(),
-            std::process::id()
-        );
+        let pid = std::process::id();
+        if serving {
+            eprintln!(
+                "serve daemon: http://{addr} on the {} core (pid {pid}, pid/port file \
+                 {file_path}); SIGTERM drains",
+                core.name(),
+            );
+        } else {
+            eprintln!("dist worker: http://{addr} (pid {pid}, pid/port file {file_path})");
+        }
         while !daemon_signals::stopped() {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
-        eprintln!("serve daemon: signal received, draining …");
+        if serving {
+            eprintln!("serve daemon: signal received, draining …");
+        }
         let stats = server.shutdown();
         let _ = std::fs::remove_file(file_path);
-        eprintln!(
-            "serve daemon: drained cleanly — {} requests served ({} audit, {} batch, {} shed, {} errors)",
-            stats.requests.total(),
-            stats.requests.audit,
-            stats.requests.batch,
-            stats.requests.shed,
-            stats.requests.errors,
-        );
+        if serving {
+            eprintln!(
+                "serve daemon: drained cleanly — {} requests served ({} audit, {} batch, {} shed, {} errors)",
+                stats.requests.total(),
+                stats.requests.audit,
+                stats.requests.batch,
+                stats.requests.shed,
+                stats.requests.errors,
+            );
+        }
         std::process::exit(0);
     }
+}
+
+/// `--serve-daemon`: run the audit server until SIGTERM, then drain.
+fn run_serve_daemon(
+    file_path: &str,
+    port: u16,
+    core: langcrux_serve::ServeCore,
+    observations: Option<BuildObservations>,
+) -> ! {
+    let config = langcrux_serve::ServeConfig {
+        addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
+        core,
+        ..Default::default()
+    };
+    run_daemon(Daemon::Serve, file_path, config, observations)
 }
 
 /// `--dist-worker`: run as a distributed-build worker — the audit server
@@ -496,57 +540,28 @@ fn run_serve_daemon(
 /// RPC executes a whole `(country, chunk)` work unit, far beyond the
 /// reactor's run-to-completion window for short requests.
 fn run_dist_worker(file_path: &str, port: u16) -> ! {
-    #[cfg(not(unix))]
-    {
-        let _ = (file_path, port);
-        eprintln!("--dist-worker needs unix signal handling");
-        std::process::exit(2);
-    }
-    #[cfg(unix)]
-    {
-        use langcrux_serve::{RpcHook, ServeConfig, ServeCore};
-        use std::sync::Arc;
-        daemon_signals::install();
-        let state = Arc::new(langcrux_core::WorkerState::new());
-        let hook = RpcHook(Arc::new(move |name, body| match name {
-            "unit" => Some(match state.handle_unit(body) {
-                Ok(json) => (200, json.into_bytes()),
-                Err(err) => (
-                    400,
-                    serde_json::to_string(&err)
-                        .expect("serialize worker error")
-                        .into_bytes(),
-                ),
-            }),
-            _ => None,
-        }));
-        let config = ServeConfig {
-            addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
-            core: ServeCore::Threaded,
-            rpc: Some(hook),
-            ..ServeConfig::default()
-        };
-        let server = langcrux_serve::spawn(config).expect("bind worker listener");
-        let addr = server.addr();
-        // Same stale-vs-live discipline as the daemon: replace leftovers
-        // of a crashed worker, never clobber a live one's advertisement.
-        let doc = langcrux_serve::PidFileDoc::new(addr.port(), &addr.to_string());
-        if langcrux_serve::claim_pidfile(std::path::Path::new(file_path), &doc).is_err() {
-            eprintln!("dist worker: refusing to start — {file_path} is held by a live process");
-            server.shutdown();
-            std::process::exit(3);
-        }
-        eprintln!(
-            "dist worker: http://{addr} (pid {}, pid/port file {file_path})",
-            std::process::id()
-        );
-        while !daemon_signals::stopped() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-        let _ = std::fs::remove_file(file_path);
-        std::process::exit(0);
-    }
+    use langcrux_serve::{RpcHook, ServeConfig, ServeCore};
+    use std::sync::Arc;
+    let state = Arc::new(langcrux_core::WorkerState::new());
+    let hook = RpcHook(Arc::new(move |name, body| match name {
+        "unit" => Some(match state.handle_unit(body) {
+            Ok(json) => (200, json.into_bytes()),
+            Err(err) => (
+                400,
+                serde_json::to_string(&err)
+                    .expect("serialize worker error")
+                    .into_bytes(),
+            ),
+        }),
+        _ => None,
+    }));
+    let config = ServeConfig {
+        addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
+        core: ServeCore::Threaded,
+        rpc: Some(hook),
+        ..ServeConfig::default()
+    };
+    run_daemon(Daemon::Worker, file_path, config, None)
 }
 
 /// `--loadgen ADDR`: quick load-gen against an external (daemon) server.
@@ -565,7 +580,7 @@ fn needs_dataset(artifacts: &[String]) -> bool {
     artifacts.iter().any(|a| {
         !matches!(
             a.as_str(),
-            "table1" | "table3" | "selection" | "ablation-vpn" | "ablation-langid"
+            "table1" | "table3" | "selection" | "speech" | "ablation-vpn" | "ablation-langid"
         )
     })
 }

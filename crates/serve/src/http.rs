@@ -14,10 +14,13 @@
 //!   status the server answers before closing the connection
 //!   (malformed start-line → 400, oversized body → 413, oversized
 //!   header block → 431).
-//! * [`Response`] — a minimal response writer with keep-alive handling,
-//!   plus chunked-encoding helpers ([`write_chunked_head`],
-//!   [`write_chunk`], [`write_last_chunk`]) for responses whose length is
-//!   not known up front (the streaming `/v1/batch` path).
+//! * [`Response`] — a minimal response writer with keep-alive handling
+//!   and an optional `Retry-After` header, plus chunked-encoding helpers
+//!   ([`write_chunked_head`], [`write_chunk`], [`write_last_chunk`]) for
+//!   responses whose length is not known up front (the streaming
+//!   `/v1/batch` path). Every error body, the governor's 503 and the
+//!   fairness limiter's 429 included, is the derived [`Response::error`]
+//!   envelope.
 //!
 //! Request bodies may be framed either way: `Content-Length` or
 //! `Transfer-Encoding: chunked` (chunk-size lines with extensions
@@ -27,6 +30,8 @@
 //! declaring both `Content-Length` and chunked is rejected with 400
 //! (request-smuggling precondition). No multiline header folding (folding
 //! was deprecated by RFC 7230 and is rejected as malformed).
+
+use serde::Serialize;
 
 /// Byte-size limits enforced while parsing.
 #[derive(Debug, Clone, Copy)]
@@ -574,6 +579,18 @@ pub struct Response {
     pub body: Body,
     /// Whether the connection survives this exchange.
     pub keep_alive: bool,
+    /// Seconds a refused client should wait before retrying, sent as a
+    /// `Retry-After` header (and echoed in the error envelope).
+    pub retry_after: Option<u32>,
+}
+
+/// The JSON error envelope every 4xx/5xx body carries.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+    status: u16,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    retry_after: Option<u32>,
 }
 
 impl Response {
@@ -584,48 +601,72 @@ impl Response {
             content_type: "application/json",
             body: body.into(),
             keep_alive,
+            retry_after: None,
         }
     }
 
     /// A Prometheus text-format (exposition format 0.0.4) response.
     pub fn prometheus(status: u16, body: impl Into<Body>, keep_alive: bool) -> Response {
         Response {
-            status,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: body.into(),
-            keep_alive,
+            ..Response::json(status, body, keep_alive)
         }
     }
 
     /// The standard JSON error envelope.
     pub fn error(status: u16, detail: &str, keep_alive: bool) -> Response {
-        let body = format!(
-            "{{\"error\":{},\"status\":{status}}}",
-            json_escape_string(detail)
-        );
-        Response::json(status, body.into_bytes(), keep_alive)
+        Response::envelope(status, detail, None, keep_alive)
     }
 
-    /// Serialize head + body into `out` (cleared first). Taking the
-    /// buffer from the caller lets the connection loop reuse one
-    /// allocation across every response it writes.
+    /// The connection governor's refusal when the connection cap and
+    /// the pending queue are both full: `503` with a retry hint, then
+    /// close.
+    pub fn shed(secs: u32) -> Response {
+        Response::envelope(503, "server at connection capacity", Some(secs), false)
+    }
+
+    /// The per-peer fairness limiter's refusal: `429` with a retry
+    /// hint, then close.
+    pub fn rate_limited(secs: u32) -> Response {
+        Response::envelope(429, "per-client rate limit exceeded", Some(secs), false)
+    }
+
+    fn envelope(status: u16, detail: &str, retry_after: Option<u32>, keep_alive: bool) -> Response {
+        let body = ErrorBody {
+            error: detail.to_string(),
+            status,
+            retry_after,
+        };
+        let body = serde_json::to_string(&body).expect("error envelope serialize");
+        Response {
+            retry_after,
+            ..Response::json(status, body.into_bytes(), keep_alive)
+        }
+    }
+
+    /// Append head + body to `out`. Taking the buffer from the caller
+    /// lets a connection reuse one allocation across every response it
+    /// writes, and queue pipelined responses behind one another.
     pub fn write_into(&self, out: &mut Vec<u8>) {
         use std::io::Write;
-        out.clear();
         write!(
             out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
             self.body.len(),
-            if self.keep_alive {
-                "keep-alive"
-            } else {
-                "close"
-            },
         )
         .expect("write to Vec");
+        if let Some(secs) = self.retry_after {
+            write!(out, "Retry-After: {secs}\r\n").expect("write to Vec");
+        }
+        let connection = if self.keep_alive {
+            "keep-alive"
+        } else {
+            "close"
+        };
+        write!(out, "Connection: {connection}\r\n\r\n").expect("write to Vec");
         out.extend_from_slice(self.body.as_slice());
     }
 
@@ -637,12 +678,11 @@ impl Response {
     }
 }
 
-/// Serialize the head of a `Transfer-Encoding: chunked` response into
-/// `out` (cleared first). Used when the body length is unknown up front —
-/// the streaming `/v1/batch` path writes elements as they complete.
+/// Append the head of a `Transfer-Encoding: chunked` response to `out`.
+/// Used when the body length is unknown up front — the streaming
+/// `/v1/batch` path writes elements as they complete.
 pub fn write_chunked_head(out: &mut Vec<u8>, status: u16, content_type: &str, keep_alive: bool) {
     use std::io::Write;
-    out.clear();
     write!(
         out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
@@ -669,55 +709,6 @@ pub fn write_chunk(out: &mut Vec<u8>, data: &[u8]) {
 /// Append the terminating `0 CRLF CRLF` chunk to `out`.
 pub fn write_last_chunk(out: &mut Vec<u8>) {
     out.extend_from_slice(b"0\r\n\r\n");
-}
-
-/// The connection governor's shed answer: a fully serialized
-/// `503 Service Unavailable` with a `Retry-After` hint, written straight
-/// from the accept loop when the connection cap and pending queue are
-/// both full. Hand-assembled because [`Response`] has no extra-header
-/// slot and this is the one response that needs one.
-pub fn shed_response_bytes(retry_after_secs: u32) -> Vec<u8> {
-    let body = format!("{{\"error\":\"server at connection capacity\",\"status\":503,\"retry_after\":{retry_after_secs}}}");
-    format!(
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// The fairness limiter's refusal: a fully serialized
-/// `429 Too Many Requests` with a `Retry-After` hint, mirroring the
-/// governor's 503 shed answer one layer up — hand-assembled for the
-/// same reason ([`Response`] has no extra-header slot).
-pub fn rate_limited_response_bytes(retry_after_secs: u32) -> Vec<u8> {
-    let body = format!(
-        "{{\"error\":\"per-client rate limit exceeded\",\"status\":429,\"retry_after\":{retry_after_secs}}}"
-    );
-    format!(
-        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// Minimal JSON string escaping for error details (matches the
-/// `serde_json` shim's escaping rules).
-fn json_escape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1132,7 +1123,7 @@ mod tests {
 
     #[test]
     fn rate_limited_response_carries_retry_after() {
-        let text = String::from_utf8(rate_limited_response_bytes(2)).unwrap();
+        let text = String::from_utf8(Response::rate_limited(2).to_bytes()).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -1149,7 +1140,7 @@ mod tests {
 
     #[test]
     fn shed_response_carries_retry_after() {
-        let text = String::from_utf8(shed_response_bytes(1)).unwrap();
+        let text = String::from_utf8(Response::shed(1).to_bytes()).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));

@@ -22,14 +22,16 @@
 //!   Kizuki rescoring via the carried histogram, speak-order pass).
 //! * [`server`] — the connection engines behind a [`ServeCore`]
 //!   selection: the thread-per-connection oracle and (Linux) the epoll
-//!   reactor, both driving identical routing: `POST /v1/audit`,
+//!   reactor, both calling one shared request step and one deadline rule
+//!   (the per-connection `Session`) and keeping only their own I/O.
+//!   Routes: `POST /v1/audit`,
 //!   `POST /v1/batch` (streamed as chunked encoding while the batch
 //!   workers complete units), `GET /v1/healthz`,
 //!   `GET /v1/stats` (JSON, or the Prometheus text exposition via
 //!   `Accept: text/plain`), `GET /v1/metrics` (always Prometheus).
 //! * `reactor` (Linux) — the event-driven core: non-blocking sockets on
 //!   a raw-`epoll` readiness loop, per-connection state machines over
-//!   the same push parser, deadlines on a hashed timing wheel.
+//!   the same `Session`, deadlines on a hashed timing wheel.
 //! * [`wheel`] — that timing wheel: tick-based, generation-cancelled,
 //!   clock-free and unit-tested without time.
 //! * [`fairness`] — per-peer token buckets (integer micro-token math on

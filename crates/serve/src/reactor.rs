@@ -5,16 +5,18 @@
 //! Design in one paragraph: every socket is non-blocking and registered
 //! level-triggered with an interest set derived from connection state
 //! (`EPOLLIN` while we want bytes, `EPOLLOUT` while a response is
-//! buffered). The push parser ([`RequestParser`]) already resumes at any
-//! tear, so "readable" is just *feed whatever arrived*; routing and
-//! response serialization reuse the exact functions the threaded core
-//! calls, which is what makes the two cores byte-identical. Deadlines
-//! (slowloris 408, idle close, write stall) live on one hashed timing
-//! wheel instead of per-thread socket timeouts, and the governor is the
-//! reactor's admission layer: `Serve` registers, `Queued` parks inside
-//! the governor until a close frees the slot, `Shed` becomes a tiny
-//! write-503-then-drain state machine. Per-peer fairness (429) runs at
-//! the same point in the request path as the threaded core's check.
+//! buffered). The push parser already resumes at any tear, so
+//! "readable" is just *feed whatever arrived* into the connection's
+//! [`Session`] — the request step the threaded core runs too: fairness
+//! (429), routing, serialization, protocol errors and latency all happen
+//! there, which is what makes the two cores byte-identical. This module
+//! keeps only the I/O: the `out` buffer, epoll interest, the deadline
+//! wheel and the blocking batch handoff. The wheel arms the session's
+//! one deadline rule (slowloris 408 or idle close), capped by the
+//! reactor's own write-stall deadline, instead of per-thread socket
+//! timeouts; and the governor is the reactor's admission layer: `Serve`
+//! registers, `Queued` parks inside the governor until a close frees the
+//! slot, `Shed` becomes a tiny write-503-then-drain state machine.
 //!
 //! Two deliberate simplifications keep behaviour aligned with the
 //! oracle:
@@ -41,8 +43,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::governor::{Admission, Governor};
-use crate::http::{self, RequestParser, Response};
-use crate::server::{accept_loop, route, stream_batch, Routed, ServeConfig, ServeState};
+use crate::http::Response;
+use crate::server::{
+    accept_loop, stream_batch, Next, ServeConfig, ServeState, Session, POLL_TICK, RETRY_AFTER_SECS,
+    SHED_DRAIN, SHED_DRAIN_READS, SHED_WRITE,
+};
 use crate::wheel::{TimerEntry, TimerWheel, TICK_MS};
 
 /// Raw `epoll` bindings — std-only, mirroring the `extern "C"` signal
@@ -159,25 +164,15 @@ const LISTENER: u64 = 0;
 /// Readiness events pulled per `epoll_wait`.
 const EVENT_BATCH: usize = 256;
 
-/// Poll ceiling: the reactor wakes at least this often to observe the
-/// shutdown flag, matching the threaded core's 50 ms read timeout.
-const MAX_POLL_MS: u64 = 50;
-
 /// Read passes per readiness event before yielding back to the loop —
 /// level-triggered epoll re-reports leftover bytes, so fairness costs
 /// nothing.
 const MAX_READ_PASSES: usize = 16;
 
-/// Shed windows, matching the threaded core's detached shed thread: up
-/// to 250 ms to write the 503, then up to 100 ms draining the client's
-/// request bytes so the close does not RST the response away.
-const SHED_WRITE_MS: u64 = 250;
-const SHED_DRAIN_MS: u64 = 100;
-
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
-    parser: RequestParser,
+    session: Session,
     /// Buffered response bytes not yet accepted by the socket…
     out: Vec<u8>,
     /// …and the cursor into them (avoids re-shuffling the Vec front).
@@ -187,9 +182,6 @@ struct Conn {
     out_since: Option<Instant>,
     /// Interest set currently registered with epoll.
     interest: u32,
-    last_activity: Instant,
-    /// First byte of a partially buffered request — the slowloris clock.
-    request_started: Option<Instant>,
     /// Close once `out` flushes (Connection: close, protocol error, 408,
     /// 429, drain).
     close_after_flush: bool,
@@ -214,15 +206,14 @@ struct Conn {
 
 impl Conn {
     fn new(stream: TcpStream, config: &ServeConfig, holds_slot: bool) -> Conn {
+        let peer = stream.peer_addr().ok().map(|a| a.ip());
         Conn {
             stream,
-            parser: RequestParser::new(config.limits),
+            session: Session::new(config.limits, peer),
             out: Vec::new(),
             out_pos: 0,
             out_since: None,
             interest: 0,
-            last_activity: Instant::now(),
-            request_started: None,
             close_after_flush: false,
             read_closed: false,
             dead: false,
@@ -237,10 +228,6 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.out_pos >= self.out.len()
     }
-
-    fn append(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
-    }
 }
 
 struct Reactor {
@@ -254,10 +241,6 @@ struct Reactor {
     epoch: Instant,
     next_token: u64,
     draining: bool,
-    /// Shared serialization scratch: responses render here, then extend
-    /// the connection's `out`. ([`Response::write_into`] clears its
-    /// target, so it cannot append to `out` directly.)
-    scratch: Vec<u8>,
     /// Shared read buffer — per-connection buffers would cost 16 KiB ×
     /// connections for mostly-idle keep-alive fleets.
     read_buf: Box<[u8; 16 * 1024]>,
@@ -301,7 +284,6 @@ pub(crate) fn run(
         epoch: Instant::now(),
         next_token: 1,
         draining: false,
-        scratch: Vec::new(),
         read_buf: Box::new([0u8; 16 * 1024]),
     };
     reactor.run_loop(&shutdown);
@@ -371,9 +353,13 @@ impl Reactor {
     }
 
     /// Bounded poll: the earliest wheel deadline, capped at
-    /// [`MAX_POLL_MS`] so the shutdown flag is observed promptly.
+    /// [`POLL_TICK`] so the shutdown flag is observed promptly.
     fn poll_timeout_ms(&mut self) -> i32 {
-        let cap = if self.draining { 10 } else { MAX_POLL_MS };
+        let cap = if self.draining {
+            10
+        } else {
+            POLL_TICK.as_millis() as u64
+        };
         let ms = match self.wheel.next_deadline_tick() {
             Some(tick) => (tick.saturating_sub(self.tick_now()) * TICK_MS).clamp(1, cap),
             None => cap,
@@ -442,18 +428,18 @@ impl Reactor {
         let fd = stream.as_raw_fd();
         let mut conn = Conn::new(stream, &self.config, false);
         conn.shedding = true;
-        conn.out = http::shed_response_bytes(crate::server::RETRY_AFTER_SECS);
+        Response::shed(RETRY_AFTER_SECS).write_into(&mut conn.out);
         conn.interest = sys::EPOLLOUT | sys::EPOLLRDHUP;
         if self.ep.add(fd, token, conn.interest).is_err() {
             return; // dropped: still closes the socket immediately
         }
-        self.arm_shed_window(token, &mut conn, SHED_WRITE_MS);
+        self.arm_shed_window(token, &mut conn, SHED_WRITE);
         self.conns.insert(token, conn);
     }
 
-    fn arm_shed_window(&mut self, token: u64, conn: &mut Conn, window_ms: u64) {
+    fn arm_shed_window(&mut self, token: u64, conn: &mut Conn, window: Duration) {
         conn.gen += 1;
-        let tick = self.tick_of(Instant::now() + Duration::from_millis(window_ms));
+        let tick = self.tick_of(Instant::now() + window);
         conn.armed_tick = tick;
         self.wheel.insert_at(tick, token, conn.gen);
     }
@@ -497,10 +483,7 @@ impl Reactor {
                     conn.read_closed = true;
                     return;
                 }
-                Ok(n) => {
-                    conn.parser.feed(&self.read_buf[..n]);
-                    conn.last_activity = Instant::now();
-                }
+                Ok(n) => conn.session.feed(&self.read_buf[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -512,82 +495,32 @@ impl Reactor {
         }
     }
 
-    /// Drain every complete buffered request — the exact inner loop of
-    /// the threaded core's `handle_connection`, state-machine flavoured.
-    /// Returns false if the connection died mid-batch.
+    /// Run the shared request step ([`Session::answer`]) over everything
+    /// buffered, streaming any batch it hands back. Returns false if the
+    /// connection died mid-batch.
     fn process_requests(&mut self, conn: &mut Conn) -> bool {
-        loop {
-            if conn.close_after_flush {
-                // keep=false (or an error) already decided this
-                // connection's fate; buffered pipelined requests are
-                // dropped, exactly like the threaded early return.
-                return true;
-            }
-            match conn.parser.poll() {
-                Ok(Some(request)) => {
-                    // One request parsed: re-arm the slowloris clock for
-                    // whatever is buffered next.
-                    conn.request_started = None;
-                    // Per-peer fairness, before routing — same point in
-                    // the request path as the threaded core.
-                    if let Some(limiter) = &self.state.fairness {
-                        if let Ok(peer) = conn.stream.peer_addr() {
-                            if !limiter.admit(peer.ip()) {
-                                self.state
-                                    .counters
-                                    .rate_limited
-                                    .fetch_add(1, Ordering::Relaxed);
-                                conn.append(&http::rate_limited_response_bytes(
-                                    limiter.retry_after_secs(),
-                                ));
-                                conn.close_after_flush = true;
-                                return true;
-                            }
-                        }
+        // Once a close is decided (Connection: close, an error, a 429),
+        // buffered pipelined requests are dropped.
+        while !conn.close_after_flush {
+            match conn.session.answer(&self.state, &mut conn.out) {
+                Next::Idle => return true,
+                Next::Close => conn.close_after_flush = true,
+                Next::Stream { pages, keep_alive } => {
+                    if self.run_batch_blocking(conn, &pages, keep_alive).is_err() {
+                        return false;
                     }
-                    let started = Instant::now();
-                    let keep = match route(&self.state, &request) {
-                        Routed::Response(response) => {
-                            response.write_into(&mut self.scratch);
-                            conn.out.extend_from_slice(&self.scratch);
-                            response.keep_alive
-                        }
-                        Routed::BatchStream { pages, keep_alive } => {
-                            if self.run_batch_blocking(conn, &pages, keep_alive).is_err() {
-                                return false;
-                            }
-                            keep_alive
-                        }
-                    };
-                    self.state
-                        .latency
-                        .record_us(started.elapsed().as_micros() as u64);
-                    conn.last_activity = Instant::now();
-                    if !keep {
-                        conn.close_after_flush = true;
-                        return true;
-                    }
-                }
-                Ok(None) => return true,
-                Err(e) => {
-                    // Protocol error: answer it and close — the byte
-                    // stream is no longer trustworthy.
-                    self.state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::error(e.status(), &e.detail(), false);
-                    response.write_into(&mut self.scratch);
-                    conn.out.extend_from_slice(&self.scratch);
-                    conn.close_after_flush = true;
-                    return true;
                 }
             }
         }
+        true
     }
 
     /// Stream a batch through the shared [`stream_batch`] with the
     /// socket temporarily blocking: run-to-completion buys exact byte,
-    /// counter, and peak-gauge parity with the threaded core.
+    /// counter, and peak-gauge parity with the threaded core. Output not
+    /// yet flushed goes out ahead of the batch.
     fn run_batch_blocking(
-        &mut self,
+        &self,
         conn: &mut Conn,
         pages: &[String],
         keep_alive: bool,
@@ -595,23 +528,17 @@ impl Reactor {
         conn.stream.set_nonblocking(false)?;
         conn.stream
             .set_write_timeout(Some(self.config.write_timeout))?;
-        let result = (|| {
-            if !conn.flushed() {
-                let pos = conn.out_pos;
-                conn.stream.write_all(&conn.out[pos..])?;
-            }
-            conn.out.clear();
-            conn.out_pos = 0;
-            conn.out_since = None;
-            stream_batch(
-                &mut conn.stream,
-                &self.state,
-                pages,
-                keep_alive,
-                &mut self.scratch,
-            )
-        })();
-        self.scratch.clear();
+        conn.out.drain(..conn.out_pos);
+        conn.out_pos = 0;
+        conn.out_since = None;
+        let result = stream_batch(
+            &mut conn.stream,
+            &self.state,
+            pages,
+            keep_alive,
+            &mut conn.out,
+        );
+        conn.out.clear();
         let restored = conn.stream.set_nonblocking(true);
         result?;
         restored
@@ -647,7 +574,7 @@ impl Reactor {
     /// Shed phase two: discard the client's request bytes until EOF so
     /// closing does not RST the 503 out of the receive buffer.
     fn drain_shed_reads(&mut self, conn: &mut Conn) {
-        for _ in 0..8 {
+        for _ in 0..SHED_DRAIN_READS {
             match conn.stream.read(&mut self.read_buf[..]) {
                 Ok(0) => {
                     conn.read_closed = true;
@@ -676,7 +603,7 @@ impl Reactor {
             // 503 fully written: half-close and drain reads briefly.
             let _ = conn.stream.shutdown(Shutdown::Write);
             conn.shed_draining = true;
-            self.arm_shed_window(token, &mut conn, SHED_DRAIN_MS);
+            self.arm_shed_window(token, &mut conn, SHED_DRAIN);
         }
         let finished = conn.flushed() && (conn.close_after_flush || conn.read_closed);
         if conn.dead || finished {
@@ -708,20 +635,16 @@ impl Reactor {
         self.conns.insert(token, conn);
     }
 
-    /// The connection's next deadline, as the wheel sees it: slowloris
-    /// request deadline while mid-parse, idle timeout otherwise, capped
-    /// by the write timeout while output is stalled.
+    /// The connection's next deadline, as the wheel sees it: the
+    /// session's deadline rule until a close is decided, capped by the
+    /// write timeout while output is stalled.
     fn arm_deadline(&mut self, token: u64, conn: &mut Conn) {
-        let mut deadline = if conn.parser.mid_request() {
-            *conn.request_started.get_or_insert_with(Instant::now) + self.config.request_deadline
-        } else {
-            conn.request_started = None;
-            conn.last_activity + self.config.idle_timeout
+        let rule = (!conn.close_after_flush).then(|| conn.session.deadline(&self.config).0);
+        let stall = (!conn.flushed())
+            .then(|| conn.out_since.unwrap_or_else(Instant::now) + self.config.write_timeout);
+        let Some(deadline) = rule.into_iter().chain(stall).min() else {
+            return;
         };
-        if !conn.flushed() {
-            let stalled = conn.out_since.unwrap_or_else(Instant::now);
-            deadline = deadline.min(stalled + self.config.write_timeout);
-        }
         let tick = self.tick_of(deadline);
         if tick != conn.armed_tick {
             conn.gen += 1;
@@ -742,6 +665,7 @@ impl Reactor {
         }
         conn.armed_tick = 0;
         let now = Instant::now();
+        let (deadline, expiry) = conn.session.deadline(&self.config);
         if conn.shedding {
             // Write or drain window expired: the threaded shed thread
             // would have given up here too.
@@ -754,23 +678,9 @@ impl Reactor {
             // Non-reading client stalled a response past the write
             // timeout — the threaded core's write_all would have failed.
             conn.dead = true;
-        } else if conn.parser.mid_request()
-            && conn
-                .request_started
-                .is_some_and(|s| now.duration_since(s) > self.config.request_deadline)
-        {
-            // Slowloris: bytes dribble in but the request never
-            // completes. Answer 408 and close.
-            self.state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            let response = Response::error(408, "request did not complete in time", false);
-            response.write_into(&mut self.scratch);
-            conn.out.extend_from_slice(&self.scratch);
+        } else if !conn.close_after_flush && now >= deadline {
+            expiry.answer(&self.state, &mut conn.out);
             conn.close_after_flush = true;
-        } else if !conn.parser.mid_request()
-            && conn.flushed()
-            && now.duration_since(conn.last_activity) > self.config.idle_timeout
-        {
-            conn.dead = true; // silent idle close, like the threaded return
         }
         self.settle(entry.token, conn);
     }

@@ -1,7 +1,8 @@
 //! The HTTP server: two selectable connection cores behind one
 //! `spawn()` — the original thread-per-connection loop (the behavioural
 //! oracle) and the epoll reactor (`crate::reactor`, the scaling core) —
-//! plus routing and the streaming batch writer shared by both.
+//! plus routing, the request step and deadline rule (`Session`) and the
+//! streaming batch writer shared by both.
 //!
 //! Thread-per-connection architecture (std-only, one OS thread per
 //! admitted connection; [`ServeCore::Threaded`]):
@@ -10,7 +11,7 @@
 //! spawn() ──► accept thread ──► Governor ──► connection threads
 //!                 │              │  cap → serve / queue / shed(503)     │
 //!                 │              └─ finished threads pop the queue      │
-//!                 │                   RequestParser::feed/poll          │
+//!                 │                   Session::feed/answer/deadline     │
 //!                 │                   route() ──► AuditService          │
 //!                 │                      │    └─► ShardedCache          │
 //!                 │                      └─ BatchStream ─► StreamFanout │
@@ -22,10 +23,13 @@
 //! ```
 //!
 //! [`ServeCore::Reactor`] replaces the per-connection threads with one
-//! event loop over non-blocking sockets (see `crate::reactor`); the
-//! governor, parser, router, and batch writer are the same objects, so
-//! the two cores answer byte-identical responses — pinned by the
-//! differential proptest and the core-parameterized torture suite.
+//! event loop over non-blocking sockets (see `crate::reactor`). Everything
+//! above the socket is one copy both cores call: the governor, the
+//! per-connection `Session` (the shared request step that drains the
+//! parser, applies fairness, routes and serializes, and the one deadline
+//! rule), and the batch writer. Each core keeps only its own I/O, so the
+//! two answer byte-identical responses — pinned by the differential
+//! proptest and the core-parameterized torture suite.
 //!
 //! Batch requests fan their pages out over [`ordered_map`], the in-order
 //! executor in `crate::batch`, so a many-page batch uses every core. Each
@@ -45,13 +49,26 @@ use crate::stats::{LatencyHistogram, LatencySnapshot, RequestCounters, RequestSn
 use langcrux_obs as obs;
 use serde::{Serialize, Value};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `Retry-After` hint (seconds) on governor-shed 503 responses.
 pub(crate) const RETRY_AFTER_SECS: u32 = 1;
+
+/// How often both cores wake to observe the shutdown flag and the
+/// connection deadlines: the threaded core's socket read timeout and the
+/// reactor's longest `epoll_wait`.
+pub(crate) const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// Shed windows, the same on both cores: up to `SHED_WRITE` to write the
+/// 503, then up to `SHED_DRAIN` and at most `SHED_DRAIN_READS` reads
+/// draining the client's request bytes, so the close does not RST the
+/// response away before the client reads it.
+pub(crate) const SHED_WRITE: Duration = Duration::from_millis(250);
+pub(crate) const SHED_DRAIN: Duration = Duration::from_millis(100);
+pub(crate) const SHED_DRAIN_READS: usize = 8;
 
 /// Which connection engine drives accepted sockets.
 ///
@@ -517,11 +534,15 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
     let keep = request.keep_alive();
     let relaxed = Ordering::Relaxed;
     let full = Routed::Response;
+    // Every refusal the router makes counts as an error.
+    let fail = |status: u16, detail: &str| {
+        state.counters.errors.fetch_add(1, relaxed);
+        full(Response::error(status, detail, keep))
+    };
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/audit") => {
             let Ok(html) = std::str::from_utf8(&request.body) else {
-                state.counters.errors.fetch_add(1, relaxed);
-                return full(Response::error(400, "body is not valid utf-8", keep));
+                return fail(400, "body is not valid utf-8");
             };
             let (bytes, _hit) = state
                 .cache
@@ -536,30 +557,17 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
             // handoff: bound how long one batch can pin the event loop
             // by bounding its bytes (see [`ServeConfig::max_batch_bytes`]).
             if request.body.len() > state.max_batch_bytes {
-                state.counters.errors.fetch_add(1, relaxed);
-                return full(Response::error(
-                    413,
-                    "batch body exceeds max_batch_bytes",
-                    keep,
-                ));
+                return fail(413, "batch body exceeds max_batch_bytes");
             }
             let Ok(body) = std::str::from_utf8(&request.body) else {
-                state.counters.errors.fetch_add(1, relaxed);
-                return full(Response::error(400, "body is not valid utf-8", keep));
+                return fail(400, "body is not valid utf-8");
             };
             match serde_json::from_str::<Vec<String>>(body) {
                 Ok(pages) => Routed::BatchStream {
                     pages,
                     keep_alive: keep,
                 },
-                Err(_) => {
-                    state.counters.errors.fetch_add(1, relaxed);
-                    full(Response::error(
-                        400,
-                        "body must be a JSON array of HTML strings",
-                        keep,
-                    ))
-                }
+                Err(_) => fail(400, "body must be a JSON array of HTML strings"),
             }
         }
         ("GET", "/v1/healthz") => {
@@ -600,12 +608,7 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
             // byte cap as /v1/batch applies: an RPC body is executed
             // run-to-completion by whichever thread routed it.
             if request.body.len() > state.max_batch_bytes {
-                state.counters.errors.fetch_add(1, relaxed);
-                return full(Response::error(
-                    413,
-                    "rpc body exceeds max_batch_bytes",
-                    keep,
-                ));
+                return fail(413, "rpc body exceeds max_batch_bytes");
             }
             let name = &path["/v1/rpc/".len()..];
             match state
@@ -621,24 +624,14 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
                     state.counters.errors.fetch_add(1, relaxed);
                     full(Response::json(status, body, keep))
                 }
-                None => {
-                    state.counters.errors.fetch_add(1, relaxed);
-                    full(Response::error(404, "no such rpc", keep))
-                }
+                None => fail(404, "no such rpc"),
             }
         }
         (_, "/v1/audit" | "/v1/batch" | "/v1/healthz" | "/v1/stats" | "/v1/metrics") => {
-            state.counters.errors.fetch_add(1, relaxed);
-            full(Response::error(405, "method not allowed", keep))
+            fail(405, "method not allowed")
         }
-        (_, path) if path.starts_with("/v1/rpc/") => {
-            state.counters.errors.fetch_add(1, relaxed);
-            full(Response::error(405, "method not allowed", keep))
-        }
-        _ => {
-            state.counters.errors.fetch_add(1, relaxed);
-            full(Response::error(404, "no such endpoint", keep))
-        }
+        (_, path) if path.starts_with("/v1/rpc/") => fail(405, "method not allowed"),
+        _ => fail(404, "no such endpoint"),
     }
 }
 
@@ -671,13 +664,14 @@ pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
 /// Stream one batch response: chunked encoding, elements written in
 /// order as the batch workers complete them, at most twice the worker
 /// count of elements in memory. The de-chunked bytes are
-/// byte-identical to [`batch_buffered`] for the same pages.
+/// byte-identical to [`batch_buffered`] for the same pages. Responses
+/// already in `out` go out ahead of the batch.
 pub(crate) fn stream_batch(
     stream: &mut TcpStream,
     state: &ServeState,
     pages: &[String],
     keep_alive: bool,
-    write_buf: &mut Vec<u8>,
+    out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     let threads = state.batch_threads();
     let fanout = StreamFanout::new(pages.len(), 2 * threads);
@@ -710,7 +704,7 @@ pub(crate) fn stream_batch(
             });
         });
         io_result = (|| {
-            http::write_chunked_head(write_buf, 200, "application/json", keep_alive);
+            http::write_chunked_head(out, 200, "application/json", keep_alive);
             for i in 0..pages.len() {
                 let Some(element) = fanout.next() else {
                     // Poisoned: a worker died mid-batch. The response is
@@ -718,15 +712,17 @@ pub(crate) fn stream_batch(
                     return Err(std::io::Error::other("batch audit worker panicked"));
                 };
                 let punctuation: &[u8] = if i == 0 { b"[" } else { b"," };
-                http::write_chunk(write_buf, punctuation);
-                http::write_chunk(write_buf, &element);
-                stream.write_all(write_buf)?;
-                write_buf.clear();
+                http::write_chunk(out, punctuation);
+                http::write_chunk(out, &element);
+                stream.write_all(out)?;
+                out.clear();
             }
             let closing: &[u8] = if pages.is_empty() { b"[]" } else { b"]" };
-            http::write_chunk(write_buf, closing);
-            http::write_last_chunk(write_buf);
-            stream.write_all(write_buf)
+            http::write_chunk(out, closing);
+            http::write_last_chunk(out);
+            stream.write_all(out)?;
+            out.clear();
+            Ok(())
         })();
         if io_result.is_err() {
             // Client went away mid-stream (or a worker died): release
@@ -747,6 +743,147 @@ pub(crate) fn stream_batch(
             .fetch_add(pages.len() as u64, Ordering::Relaxed);
     }
     io_result
+}
+
+/// What a connection does after [`Session::answer`].
+#[derive(Debug)]
+pub(crate) enum Next {
+    /// Every buffered request is answered: flush, then wait for bytes or
+    /// for [`Session::deadline`].
+    Idle,
+    /// Stream this batch with [`stream_batch`], then call `answer` again:
+    /// that call records the batch's latency and answers what follows.
+    Stream {
+        pages: Vec<String>,
+        keep_alive: bool,
+    },
+    /// Close once the output is flushed.
+    Close,
+}
+
+/// What happens when a connection's [`Session::deadline`] passes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Expiry {
+    /// A request was partly buffered (slowloris): `408`, counted in
+    /// `timeouts`.
+    RequestTimeout,
+    /// An idle keep-alive connection: a silent close.
+    Idle,
+}
+
+impl Expiry {
+    /// Append what the expiry answers to `out`; the connection then
+    /// closes once `out` is flushed.
+    pub(crate) fn answer(self, state: &ServeState, out: &mut Vec<u8>) {
+        if self == Expiry::RequestTimeout {
+            state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            Response::error(408, "request did not complete in time", false).write_into(out);
+        }
+    }
+}
+
+/// One connection's protocol state, the same on both cores: the parser
+/// plus the clocks the deadline rule reads. A core feeds it bytes, writes
+/// what [`answer`](Session::answer) appends and arms
+/// [`deadline`](Session::deadline).
+pub(crate) struct Session {
+    parser: RequestParser,
+    /// For per-peer fairness; an unknown peer is admitted.
+    peer: Option<IpAddr>,
+    /// First byte of a partly buffered request — the slowloris clock.
+    request_started: Option<Instant>,
+    last_activity: Instant,
+    /// The batch last handed out as [`Next::Stream`]: when its request
+    /// was routed, and whether the connection survives it.
+    streaming: Option<(Instant, bool)>,
+}
+
+impl Session {
+    pub(crate) fn new(limits: Limits, peer: Option<IpAddr>) -> Session {
+        Session {
+            parser: RequestParser::new(limits),
+            peer,
+            request_started: None,
+            last_activity: Instant::now(),
+            streaming: None,
+        }
+    }
+
+    /// Bytes read from the socket.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        self.parser.feed(bytes);
+        self.last_activity = Instant::now();
+    }
+
+    /// The shared request step: drain every complete buffered request in
+    /// order, appending each answer to `out`. Per-peer fairness comes
+    /// first (429, then close), then [`route`]; a protocol error answers
+    /// its status and closes. Latency runs from routing to the last byte
+    /// appended or, for a batch, to the end of its stream.
+    pub(crate) fn answer(&mut self, state: &ServeState, out: &mut Vec<u8>) -> Next {
+        let mut answered = self.streaming.take();
+        loop {
+            if let Some((started, keep_alive)) = answered.take() {
+                state
+                    .latency
+                    .record_us(started.elapsed().as_micros() as u64);
+                self.last_activity = Instant::now();
+                if !keep_alive {
+                    return Next::Close; // pipelined requests are dropped
+                }
+            }
+            let request = match self.parser.poll() {
+                Ok(Some(request)) => request,
+                Ok(None) => {
+                    if self.parser.mid_request() {
+                        self.request_started.get_or_insert_with(Instant::now);
+                    }
+                    return Next::Idle;
+                }
+                Err(e) => {
+                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    Response::error(e.status(), &e.detail(), false).write_into(out);
+                    return Next::Close;
+                }
+            };
+            // The slowloris clock bounds one request's parse, so each
+            // completed request re-arms it for whatever is buffered next
+            // — a client pipelining nonstop (parser never empty) is not
+            // cut off with a spurious 408.
+            self.request_started = None;
+            if let (Some(limiter), Some(peer)) = (&state.fairness, self.peer) {
+                if !limiter.admit(peer) {
+                    state.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
+                    Response::rate_limited(limiter.retry_after_secs()).write_into(out);
+                    return Next::Close;
+                }
+            }
+            let started = Instant::now();
+            match route(state, &request) {
+                Routed::Response(response) => {
+                    response.write_into(out);
+                    answered = Some((started, response.keep_alive));
+                }
+                Routed::BatchStream { pages, keep_alive } => {
+                    self.streaming = Some((started, keep_alive));
+                    return Next::Stream { pages, keep_alive };
+                }
+            }
+        }
+    }
+
+    /// The one deadline rule: when the connection's deadline passes and
+    /// what happens then. While a request is partly buffered only
+    /// `request_deadline` applies, from its first byte; otherwise
+    /// `idle_timeout`, from the last activity.
+    pub(crate) fn deadline(&self, config: &ServeConfig) -> (Instant, Expiry) {
+        match self.request_started {
+            Some(started) if self.parser.mid_request() => {
+                (started + config.request_deadline, Expiry::RequestTimeout)
+            }
+            _ => (self.last_activity + config.idle_timeout, Expiry::Idle),
+        }
+    }
 }
 
 /// Handle to a running server.
@@ -895,10 +1032,10 @@ pub(crate) fn accept_loop(
 /// without the 503 nicety — the connection still closes immediately.
 const MAX_SHED_THREADS: usize = 64;
 
-/// Refuse one connection with `503 + Retry-After`. The write (up to the
-/// 250 ms write timeout against a non-reading client) and the RST-
-/// avoiding read-drain happen on a short-lived detached thread, so a
-/// shed — however slow the client — never blocks the accept loop: the
+/// Refuse one connection with `503 + Retry-After`. The write (up to
+/// [`SHED_WRITE`] against a non-reading client) and the RST-avoiding
+/// read-drain happen on a short-lived detached thread, so a shed —
+/// however slow the client — never blocks the accept loop: the
 /// governor's refusal stays O(1) per arrival.
 fn shed_connection(stream: TcpStream, state: &ServeState, shed_threads: &Arc<AtomicUsize>) {
     state.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -911,9 +1048,9 @@ fn shed_connection(stream: TcpStream, state: &ServeState, shed_threads: &Arc<Ato
         .name("serve-shed".to_string())
         .spawn(move || {
             let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            let _ = stream.set_write_timeout(Some(SHED_WRITE));
             if stream
-                .write_all(&http::shed_response_bytes(RETRY_AFTER_SECS))
+                .write_all(&Response::shed(RETRY_AFTER_SECS).to_bytes())
                 .is_ok()
             {
                 // Half-close and briefly drain the client's request
@@ -921,10 +1058,10 @@ fn shed_connection(stream: TcpStream, state: &ServeState, shed_threads: &Arc<Ato
                 // makes the kernel RST the connection, which can destroy
                 // the 503 before the client reads it.
                 let _ = stream.shutdown(std::net::Shutdown::Write);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                let deadline = Instant::now() + Duration::from_millis(100);
+                let _ = stream.set_read_timeout(Some(POLL_TICK));
+                let deadline = Instant::now() + SHED_DRAIN;
                 let mut sink = [0u8; 1024];
-                for _ in 0..8 {
+                for _ in 0..SHED_DRAIN_READS {
                     if !matches!(stream.read(&mut sink), Ok(n) if n > 0)
                         || Instant::now() > deadline
                     {
@@ -939,123 +1076,49 @@ fn shed_connection(stream: TcpStream, state: &ServeState, shed_threads: &Arc<Ato
     }
 }
 
-/// Keep-alive loop for one connection.
+/// Keep-alive loop for one connection: blocking reads and writes around
+/// the shared [`Session`].
 fn handle_connection(
     mut stream: TcpStream,
     state: &ServeState,
     shutdown: &AtomicBool,
     config: &ServeConfig,
 ) -> std::io::Result<()> {
-    // Short read timeout so the loop can observe shutdown and enforce
-    // the idle/request deadlines without a dedicated wakeup channel; the
-    // write timeout stops a non-reading client from pinning the thread.
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+    // The read timeout lets the loop observe shutdown and the deadline
+    // without a dedicated wakeup channel; the write timeout stops a
+    // non-reading client from pinning the thread.
+    stream.set_read_timeout(Some(POLL_TICK))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
     stream.set_nodelay(true)?;
-    let mut parser = RequestParser::new(config.limits);
+    let mut session = Session::new(config.limits, stream.peer_addr().ok().map(|a| a.ip()));
     let mut read_buf = [0u8; 16 * 1024];
-    // One write buffer reused for every response on this connection.
-    let mut write_buf: Vec<u8> = Vec::new();
-    let mut last_activity = Instant::now();
-    // Set while a request is partially buffered: the slowloris deadline
-    // runs from the first byte of a request to its complete parse.
-    let mut request_started: Option<Instant> = None;
-
+    // One output buffer reused for every response on this connection.
+    let mut out: Vec<u8> = Vec::new();
     loop {
-        // Drain every request already buffered (pipelining) before
-        // touching the socket again.
-        loop {
-            match parser.poll() {
-                Ok(Some(request)) => {
-                    // A request finished parsing: the slowloris deadline
-                    // bounds one request's parse, so completing one
-                    // re-arms the timer for whatever is buffered next —
-                    // without this, a fast client pipelining nonstop
-                    // (parser never empty) would be cut off with a
-                    // spurious 408 after request_deadline.
-                    request_started = None;
-                    // Per-peer fairness: a drained token bucket answers
-                    // 429 + Retry-After and closes, before routing.
-                    if let Some(limiter) = &state.fairness {
-                        if let Ok(peer) = stream.peer_addr() {
-                            if !limiter.admit(peer.ip()) {
-                                state.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-                                let _ = stream.write_all(&http::rate_limited_response_bytes(
-                                    limiter.retry_after_secs(),
-                                ));
-                                return Ok(());
-                            }
-                        }
-                    }
-                    let started = Instant::now();
-                    let keep = match route(state, &request) {
-                        Routed::Response(response) => {
-                            response.write_into(&mut write_buf);
-                            stream.write_all(&write_buf)?;
-                            response.keep_alive
-                        }
-                        Routed::BatchStream { pages, keep_alive } => {
-                            stream_batch(&mut stream, state, &pages, keep_alive, &mut write_buf)?;
-                            write_buf.clear();
-                            keep_alive
-                        }
-                    };
-                    state
-                        .latency
-                        .record_us(started.elapsed().as_micros() as u64);
-                    last_activity = Instant::now();
-                    if !keep {
-                        return Ok(());
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Answer the protocol error and close: the byte
-                    // stream is no longer trustworthy.
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::error(e.status(), &e.detail(), false);
-                    response.write_into(&mut write_buf);
-                    let _ = stream.write_all(&write_buf);
-                    return Ok(());
-                }
+        match session.answer(state, &mut out) {
+            Next::Idle => {}
+            Next::Stream { pages, keep_alive } => {
+                stream_batch(&mut stream, state, &pages, keep_alive, &mut out)?;
+                continue;
             }
+            Next::Close => return stream.write_all(&out),
         }
-
-        // Deadline bookkeeping: a partially buffered request keeps its
-        // start time; a fully drained parser resets it.
-        if parser.mid_request() {
-            let started = *request_started.get_or_insert_with(Instant::now);
-            if started.elapsed() > config.request_deadline {
-                // Slowloris: bytes dribble in fast enough to dodge the
-                // idle timeout but the request never completes. Answer
-                // 408 and free the slot.
-                state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                let response = Response::error(408, "request did not complete in time", false);
-                response.write_into(&mut write_buf);
-                let _ = stream.write_all(&write_buf);
-                return Ok(());
-            }
-        } else {
-            request_started = None;
+        stream.write_all(&out)?;
+        out.clear();
+        let (deadline, expiry) = session.deadline(config);
+        if Instant::now() >= deadline {
+            expiry.answer(state, &mut out);
+            return stream.write_all(&out);
         }
-
         if shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
         match stream.read(&mut read_buf) {
             Ok(0) => return Ok(()), // peer closed
-            Ok(n) => {
-                parser.feed(&read_buf[..n]);
-                last_activity = Instant::now();
-            }
+            Ok(n) => session.feed(&read_buf[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_activity.elapsed() > config.idle_timeout {
-                    return Ok(());
-                }
-            }
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(e) => return Err(e),
         }
     }
@@ -1466,6 +1529,78 @@ mod tests {
             405
         );
         assert_eq!(state.counters.snapshot().errors, 3);
+    }
+
+    #[test]
+    fn deadline_rule_is_the_request_deadline_mid_request_else_idle() {
+        let config = ServeConfig {
+            request_deadline: Duration::from_millis(400),
+            idle_timeout: Duration::from_millis(100),
+            ..ServeConfig::default()
+        };
+        let state = test_state();
+        let mut session = Session::new(config.limits, None);
+        assert_eq!(
+            session.deadline(&config),
+            (session.last_activity + config.idle_timeout, Expiry::Idle)
+        );
+        session.feed(b"POST /v1/audit HTTP/1.1\r\nContent-Length: 50\r\n\r\nabc");
+        let mut out = Vec::new();
+        assert!(matches!(session.answer(&state, &mut out), Next::Idle));
+        assert!(out.is_empty());
+        // Mid-request, the shorter idle timeout no longer applies.
+        let started = session.request_started.expect("slowloris clock runs");
+        assert_eq!(
+            session.deadline(&config),
+            (started + config.request_deadline, Expiry::RequestTimeout)
+        );
+        Expiry::Idle.answer(&state, &mut out);
+        assert!(out.is_empty(), "an idle close is silent");
+        Expiry::RequestTimeout.answer(&state, &mut out);
+        assert!(out.starts_with(b"HTTP/1.1 408 Request Timeout\r\n"));
+        assert_eq!(state.counters.snapshot().timeouts, 1);
+    }
+
+    #[test]
+    fn answer_drains_pipelined_requests_until_a_close() {
+        let state = test_state();
+        let mut session = Session::new(Limits::default(), None);
+        session.feed(
+            b"GET /nope HTTP/1.1\r\n\r\n\
+              GET /v1/audit HTTP/1.1\r\nConnection: close\r\n\r\n\
+              GET /nope HTTP/1.1\r\n\r\n",
+        );
+        let mut out = Vec::new();
+        assert!(matches!(session.answer(&state, &mut out), Next::Close));
+        // The request behind `Connection: close` is never answered.
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 2);
+        assert!(text.starts_with("HTTP/1.1 404 "));
+        assert!(text.contains("HTTP/1.1 405 "));
+        assert_eq!(state.latency.snapshot().count, 2);
+    }
+
+    #[test]
+    fn batch_latency_is_recorded_when_answer_resumes() {
+        let state = test_state();
+        let mut session = Session::new(Limits::default(), None);
+        let body = serde_json::to_string(&vec![PAGE.to_string()]).unwrap();
+        let raw = format!(
+            "POST /v1/batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        session.feed(raw.as_bytes());
+        let mut out = Vec::new();
+        match session.answer(&state, &mut out) {
+            Next::Stream { pages, keep_alive } => {
+                assert_eq!(pages, vec![PAGE.to_string()]);
+                assert!(keep_alive);
+            }
+            other => panic!("expected a batch to stream, got {other:?}"),
+        }
+        assert_eq!(state.latency.snapshot().count, 0, "batch still streaming");
+        assert!(matches!(session.answer(&state, &mut out), Next::Idle));
+        assert_eq!(state.latency.snapshot().count, 1);
     }
 
     #[test]

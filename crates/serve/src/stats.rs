@@ -1,6 +1,13 @@
 //! Request telemetry: per-endpoint counters and a lock-free latency
 //! histogram with p50/p99 readout.
 //!
+//! The histogram holds server-side request latency, recorded in one
+//! place for both serve cores (the shared request step): from routing a
+//! parsed request to the last byte of its response appended to the
+//! connection's output, or, for a streamed batch, to the end of the
+//! stream. Writing a complete response to the socket is not included,
+//! nor is a request that fairness refuses or a protocol error.
+//!
 //! The histogram uses fixed bucket edges (linear 25 µs steps under 1 ms,
 //! 1 ms steps to 100 ms, 100 ms steps to 6.1 s, then one overflow bucket)
 //! so recording is a single relaxed atomic increment on the hot path and

@@ -3,6 +3,9 @@
 //!
 //! * **slowloris** — byte-at-a-time headers trip the request deadline
 //!   (408 + close), they do not pin a connection thread.
+//! * **one deadline rule** — a request left half-sent answers 408 at the
+//!   request deadline even when the idle timeout is shorter: while a
+//!   request is partly buffered, only the request deadline applies.
 //! * **sustained pipelining** — the deadline's false-positive guard: a
 //!   fast valid client whose stream always ends mid-request must never
 //!   be mistaken for a slowloris (the timer is per-request, not
@@ -127,6 +130,45 @@ fn slowloris_headers_hit_the_deadline(core: ServeCore) {
     let stats = server.shutdown();
     assert_eq!(stats.requests.timeouts, 1);
     assert_eq!(stats.requests.healthz, 0, "the request never completed");
+}
+
+#[test]
+fn half_sent_request_answers_408_at_the_request_deadline() {
+    common::for_each_core(half_sent_request_answers_408);
+}
+
+fn half_sent_request_answers_408(core: ServeCore) {
+    let request_deadline = Duration::from_millis(400);
+    let server = spawn(ServeConfig {
+        core,
+        request_deadline,
+        // Shorter than the request deadline: a partly buffered request
+        // must not be closed as idle.
+        idle_timeout: Duration::from_millis(100),
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let mut stream = connect(&server);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let started = Instant::now();
+    stream
+        .write_all(b"POST /v1/audit HTTP/1.1\r\nContent-Length: 50\r\n\r\nabc")
+        .expect("half a request");
+    let text = read_to_end_string(&mut stream);
+    let elapsed = started.elapsed();
+    assert!(
+        text.starts_with("HTTP/1.1 408 "),
+        "expected 408, got: {text:?}"
+    );
+    assert!(
+        elapsed >= request_deadline,
+        "answered before the request deadline: {elapsed:?}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.requests.timeouts, 1);
+    assert_eq!(stats.requests.audit, 0, "the request never completed");
 }
 
 #[test]
