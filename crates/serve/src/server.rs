@@ -824,9 +824,8 @@ impl Session {
         let mut answered = self.streaming.take();
         loop {
             if let Some((started, keep_alive)) = answered.take() {
-                state
-                    .latency
-                    .record_us(started.elapsed().as_micros() as u64);
+                let elapsed_us = started.elapsed().as_micros() as u64;
+                state.latency.record_us(elapsed_us);
                 self.last_activity = Instant::now();
                 if !keep_alive {
                     return Next::Close; // pipelined requests are dropped
